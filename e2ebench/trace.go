@@ -98,8 +98,6 @@ func (t *tracer) pop() {
 	if t.net != nil {
 		c := t.net.Total()
 		s.Rounds, s.Messages = c.Rounds-s.Rounds, c.Messages-s.Messages
-	} else {
-		s.Rounds, s.Messages = 0, 0
 	}
 	// Children finished before s, so SelfNs already holds minus their sum.
 	s.SelfNs += end - s.StartNs
