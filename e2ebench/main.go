@@ -28,21 +28,27 @@ import (
 )
 
 func main() {
-	name := flag.String("workload", "", "workload: mst-random, pa-gridstar or tree-torus")
+	name := flag.String("workload", "", "workload: mst-random, pa-gridstar, tree-torus, or all three in turn")
 	seed := flag.Int64("seed", 1, "workload seed; the same seed generates the same instances")
 	secs := flag.Float64("seconds", 30, "measuring time; the fixed instance set always runs once")
 	trace := flag.Int("trace", 0, "1 reports per-layer metrics from a traced run, 0 end-to-end metrics")
 	dir := flag.String("out", filepath.Join(".bench_build", "e2ebench"), "directory for spans and CPU profiles")
 	flag.Parse()
 
-	w, ok := workloads()[*name]
-	if !ok || (*trace != 0 && *trace != 1) {
-		flag.Usage()
-		os.Exit(2)
+	names := []string{*name}
+	if *name == "all" {
+		names = []string{"mst-random", "pa-gridstar", "tree-torus"}
 	}
-	if err := benchmark(w, *seed, *secs, *trace == 1, *dir); err != nil {
-		fmt.Fprintln(os.Stderr, "e2ebench:", err)
-		os.Exit(1)
+	for _, name := range names {
+		w, ok := workloads()[name]
+		if !ok || (*trace != 0 && *trace != 1) {
+			flag.Usage()
+			os.Exit(2)
+		}
+		if err := benchmark(w, *seed, *secs, *trace == 1, *dir); err != nil {
+			fmt.Fprintln(os.Stderr, "e2ebench:", err)
+			os.Exit(1)
+		}
 	}
 }
 
