@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check docs-check check
+.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full test-e2ebench fuzz-smoke bench bench-smoke bench-compare bench-allocs-check docs-check check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
@@ -46,14 +46,22 @@ test-race-faulty:
 test-full:
 	$(GO) test ./...
 
-# Short native-fuzz pass over the spec grammars (nightly CI): the jobs spec
-# and the fault-scenario spec must never panic, and every accepted scenario
-# must survive a parse-print-parse round trip. `go test -fuzz` takes one
-# target per invocation, hence the two runs.
+# The end-to-end benchmark (e2ebench/) is its own Go module, so ./... above
+# never compiles it; vet and test it here so an engine API it calls cannot
+# disappear unnoticed until the benchmark runs.
+test-e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+# Short native-fuzz pass over the input parsers (nightly CI): the jobs spec,
+# the fault-scenario spec and the edge-list loader must never panic, every
+# accepted scenario must survive a parse-print-parse round trip, and every
+# accepted edge list must map its nodes to strictly ascending external IDs.
+# `go test -fuzz` takes one target per invocation, hence one run each.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/congest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseJobSpec -fuzztime=$(FUZZTIME) ./internal/bench/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
 
 # Engine benchmarks (graph-family x worker-count matrix on n=10k graphs,
 # plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6 and
@@ -91,7 +99,7 @@ bench-compare:
 		|| echo "bench-compare: benchstat unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; \
 	fi; \
 	echo ""; \
-	echo "setup-storm allocs/op (BenchmarkEngineSetup, n=10k torus; the phase-setup trajectory):"; \
+	echo "setup-storm allocs/op (BenchmarkEngineSetup, n=10k torus; the phase-setup trajectory — proc=shared is the one live row, scratch=false/true appear only in snapshots older than the []Proc form's removal):"; \
 	for f in $(BENCH_OLD) $(BENCH_NEW); do \
 		echo "  $$f:"; \
 		jq -r '.raw[]' $$f | grep -E 'BenchmarkEngineSetup/family=torus' \
@@ -196,4 +204,4 @@ docs-check:
 	[ $$fail -eq 0 ] && echo "docs-check: all packages carry doc.go package comments"; \
 	exit $$fail
 
-check: build vet docs-check test-race
+check: build vet docs-check test-race test-e2ebench

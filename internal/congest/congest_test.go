@@ -10,44 +10,36 @@ import (
 // floodProc floods a token through the network: node 0 starts with the
 // token; every node that has it broadcasts once.
 type floodProc struct {
-	has  bool
-	sent bool
+	has  []bool
+	sent []bool
 }
 
-func (f *floodProc) Step(ctx *Ctx) bool {
-	if ctx.Round() == 0 && ctx.Node() == 0 {
-		f.has = true
+func newFlood(n int) *floodProc {
+	return &floodProc{has: make([]bool, n), sent: make([]bool, n)}
+}
+
+func (f *floodProc) Step(ctx *Ctx, v int) bool {
+	if ctx.Round() == 0 && v == 0 {
+		f.has[v] = true
 	}
-	if len(ctx.Recv()) > 0 {
-		f.has = true
-	}
-	if f.has && !f.sent {
+	ctx.ForRecv(func(int, Incoming) { f.has[v] = true })
+	if f.has[v] && !f.sent[v] {
 		ctx.Broadcast(Message{Kind: 1})
-		f.sent = true
+		f.sent[v] = true
 	}
 	return false
-}
-
-func newFlood(n int) ([]Proc, []*floodProc) {
-	procs := make([]Proc, n)
-	impls := make([]*floodProc, n)
-	for i := range procs {
-		impls[i] = &floodProc{}
-		procs[i] = impls[i]
-	}
-	return procs, impls
 }
 
 func TestFloodReachesEveryoneInDiameterRounds(t *testing.T) {
 	g := graph.Path(10)
 	net := NewNetwork(g, 1)
-	procs, impls := newFlood(g.N())
-	cost, err := net.Run("flood", procs, 100)
+	flood := newFlood(g.N())
+	cost, err := net.RunNodes("flood", flood, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, f := range impls {
-		if !f.has {
+	for v, has := range flood.has {
+		if !has {
 			t.Fatalf("node %d never got the token", v)
 		}
 	}
@@ -66,21 +58,17 @@ func TestRunBudgetExceeded(t *testing.T) {
 	g := graph.Path(4)
 	net := NewNetwork(g, 1)
 	// A proc that ping-pongs forever between nodes 0 and 1.
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			if ctx.Round() == 0 && v == 0 {
-				ctx.Send(0, Message{})
-				return false
-			}
-			for _, in := range ctx.Recv() {
-				ctx.Send(in.Port, Message{})
-			}
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if ctx.Round() == 0 && v == 0 {
+			ctx.Send(0, Message{})
 			return false
+		}
+		ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.Send(in.Port, Message{})
 		})
-	}
-	_, err := net.Run("pingpong", procs, 50)
+		return false
+	})
+	_, err := net.RunNodes("pingpong", proc, 50)
 	var bee *BudgetExceededError
 	if !errors.As(err, &bee) {
 		t.Fatalf("err = %v, want BudgetExceededError", err)
@@ -93,20 +81,20 @@ func TestRunBudgetExceeded(t *testing.T) {
 func TestDoubleSendPanics(t *testing.T) {
 	g := graph.Path(2)
 	net := NewNetwork(g, 1)
-	procs := []Proc{
-		ProcFunc(func(ctx *Ctx) bool {
-			defer func() {
-				if recover() == nil {
-					t.Error("second send on a port did not panic")
-				}
-			}()
-			ctx.Send(0, Message{})
-			ctx.Send(0, Message{})
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if v != 0 {
 			return false
-		}),
-		ProcFunc(func(*Ctx) bool { return false }),
-	}
-	if _, err := net.Run("dup", procs, 10); err != nil {
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("second send on a port did not panic")
+			}
+		}()
+		ctx.Send(0, Message{})
+		ctx.Send(0, Message{})
+		return false
+	})
+	if _, err := net.RunNodes("dup", proc, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,20 +102,20 @@ func TestDoubleSendPanics(t *testing.T) {
 func TestCanSend(t *testing.T) {
 	g := graph.Path(2)
 	net := NewNetwork(g, 1)
-	procs := []Proc{
-		ProcFunc(func(ctx *Ctx) bool {
-			if !ctx.CanSend(0) {
-				t.Error("CanSend false before sending")
-			}
-			ctx.Send(0, Message{})
-			if ctx.CanSend(0) {
-				t.Error("CanSend true after sending")
-			}
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if v != 0 {
 			return false
-		}),
-		ProcFunc(func(*Ctx) bool { return false }),
-	}
-	if _, err := net.Run("cansend", procs, 10); err != nil {
+		}
+		if !ctx.CanSend(0) {
+			t.Error("CanSend false before sending")
+		}
+		ctx.Send(0, Message{})
+		if ctx.CanSend(0) {
+			t.Error("CanSend true after sending")
+		}
+		return false
+	})
+	if _, err := net.RunNodes("cansend", proc, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,24 +146,22 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		// Random gossip: each node sends its ID on a random port for 5 rounds;
 		// nodes track the min ID heard.
 		minHeard := make([]int64, g.N())
-		procs := make([]Proc, g.N())
-		for v := 0; v < g.N(); v++ {
-			v := v
+		for v := range minHeard {
 			minHeard[v] = net.ID(v)
-			procs[v] = ProcFunc(func(ctx *Ctx) bool {
-				for _, in := range ctx.Recv() {
-					if in.Msg.A < minHeard[v] {
-						minHeard[v] = in.Msg.A
-					}
-				}
-				if ctx.Round() < 5 {
-					ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
-					return true
-				}
-				return false
-			})
 		}
-		cost, err := net.Run("gossip", procs, 100)
+		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+			ctx.ForRecv(func(_ int, in Incoming) {
+				if in.Msg.A < minHeard[v] {
+					minHeard[v] = in.Msg.A
+				}
+			})
+			if ctx.Round() < 5 {
+				ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
+				return true
+			}
+			return false
+		})
+		cost, err := net.RunNodes("gossip", proc, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +183,7 @@ func TestMetricsAccumulateAcrossPhases(t *testing.T) {
 	g := graph.Path(6)
 	net := NewNetwork(g, 3)
 	for i := 0; i < 3; i++ {
-		procs, _ := newFlood(g.N())
-		if _, err := net.Run("flood", procs, 100); err != nil {
+		if _, err := net.RunNodes("flood", newFlood(g.N()), 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,29 +204,18 @@ func TestMetricsAccumulateAcrossPhases(t *testing.T) {
 	}
 }
 
-func TestProcCountMismatch(t *testing.T) {
-	net := NewNetwork(graph.Path(3), 1)
-	if _, err := net.Run("bad", make([]Proc, 2), 10); err == nil {
-		t.Fatal("Run accepted wrong proc count")
-	}
-}
-
 func TestIdleNodesAreNotStepped(t *testing.T) {
 	// A node that returns false and never receives messages must be stepped
 	// exactly once (round 0).
 	g := graph.Path(3)
 	net := NewNetwork(g, 1)
 	steps := make([]int, g.N())
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			steps[v]++
-			// Node 0 keeps itself active for 4 rounds but sends nothing.
-			return v == 0 && ctx.Round() < 4
-		})
-	}
-	if _, err := net.Run("idle", procs, 100); err != nil {
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		steps[v]++
+		// Node 0 keeps itself active for 4 rounds but sends nothing.
+		return v == 0 && ctx.Round() < 4
+	})
+	if _, err := net.RunNodes("idle", proc, 100); err != nil {
 		t.Fatal(err)
 	}
 	if steps[1] != 1 || steps[2] != 1 {
@@ -249,5 +223,35 @@ func TestIdleNodesAreNotStepped(t *testing.T) {
 	}
 	if steps[0] != 5 {
 		t.Fatalf("active node stepped %d times, want 5", steps[0])
+	}
+}
+
+// TestScratchReuse pins the arena contract: buffers come back cleared, and
+// the same backing array is recycled across calls once grown.
+func TestScratchReuse(t *testing.T) {
+	g := graph.Path(3)
+	net := NewNetwork(g, 1)
+	s := net.Scratch()
+	pb := s.PortBools()
+	if len(pb) != 4 { // 2m = 4 half-edges on a 3-path
+		t.Fatalf("PortBools length %d, want 4", len(pb))
+	}
+	pb[2] = true
+	pb2 := s.PortBools()
+	if &pb[0] != &pb2[0] {
+		t.Error("PortBools did not recycle its buffer")
+	}
+	if pb2[2] {
+		t.Error("PortBools returned a dirty buffer")
+	}
+	b := s.Bools(5)
+	b[4] = true
+	if b2 := s.Bools(2); len(b2) != 2 || b2[0] || b2[1] {
+		t.Error("Bools shrink/clear broken")
+	}
+	i64 := s.Int64s(4)
+	i64[1] = 8
+	if x := s.Int64s(4); x[1] != 0 {
+		t.Error("Int64s returned a dirty buffer")
 	}
 }

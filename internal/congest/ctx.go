@@ -47,155 +47,17 @@ func (c *Ctx) Degree() int {
 // depends only on the master seed and the node index).
 func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 
-// Recv returns the messages delivered to this node at the start of the
-// round, in ascending sender-index order (each neighbor sends at most one
-// message per round, so that order is well defined — and it is the order
-// the delivery slots are laid out in, so no reordering happens here).
+// ForRecv invokes f for every message delivered this round, in ascending
+// sender-index order, reading the edge-slot buffer in place. rank is the
+// sender's rank among the node's neighbors (the slot offset), so rank ==
+// Port only when neighbor order and port order agree. It is the engine's
+// one receive primitive: every protocol folds a round's deliveries through
+// it.
 //
-// The slice aliases engine-owned view storage and is strictly read-only.
-// It is reused and overwritten from the next round's buffer flip onward,
-// so it is valid only until this Step returns. A protocol that needs to
-// reorder messages or keep one beyond the current round must copy the
-// Incoming values into its own state.
-// Retention bugs are latent — the stale data often looks plausible — so
-// tests can set debugPoisonRecv to make every expired view read as poison
-// (see TestRecvRetainedAcrossRoundsIsPoisoned).
-//
-// The view is built at most once per round, by compacting the occupied
-// slots into a per-node range of the network's view buffer: slots store
-// bare 32-byte Messages, so the Incoming{Port, Msg} values a view reports
-// are synthesized here, with each slot's arrival port read from the static
-// slot geometry (slotPort). The view buffer itself is allocated on the
-// first Recv call that needs it — protocols on the zero-copy primitives
-// (ForRecv, RecvOn) never pay its 40 B/slot at all. After that: no
-// allocation, ever.
-func (c *Ctx) Recv() []Incoming {
-	st := c.st
-	b := st.engineBuffers
-	v := c.v
-	lo := st.net.csr.RowStart[v]
-	if b.recvRound[v] != st.snow {
-		b.recvRound[v] = st.snow
-		n := int32(0)
-		if b.wakeCur[v] == st.snow-1 {
-			hi := st.net.csr.RowStart[v+1]
-			sentAt := st.snow - 1
-			stamps := b.curStamp[lo:hi]
-			msgs := b.curMsg[lo:hi]
-			ports := st.net.slotPort[lo:hi]
-			recv := b.recvView()[lo:hi]
-			for s := range stamps {
-				if stamps[s] == sentAt {
-					recv[n] = Incoming{Port: int(ports[s]), Msg: msgs[s]}
-					n++
-				}
-			}
-		}
-		b.recvLen[v] = n
-	}
-	if n := b.recvLen[v]; n > 0 {
-		return b.recvBuf[lo : lo+n]
-	}
-	// An empty view never touches recvBuf, which may still be nil.
-	return nil
-}
-
-// RecvMsgs returns the bare messages delivered this round, in the same
-// ascending sender-index order Recv reports, without arrival ports. It is
-// the bulk-read primitive for aggregation protocols (min/max/sum floods,
-// broadcast storms) that fold every delivery symmetrically and never ask
-// which port a message came from — the hottest read pattern in the paper's
-// algorithms.
-//
-// Dropping the ports is what makes it cheap: when every slot in the node's
-// range is occupied (broadcast traffic) the returned slice IS the slot
-// range — zero copies, no view synthesis — which Recv can never do, since
-// its Incoming views interleave a port the slots deliberately don't store.
-// Sparse rounds compact the occupied slots' messages (32 B each, no port
-// lookup) into a per-network scratch buffer allocated on the first sparse
-// call and never before. The view is rebuilt on every call, so call it
-// once per round and range over the result.
-//
-// The slice aliases engine-owned storage either way: read-only, valid only
-// until this Step returns, same retention contract (and debugPoisonRecv
-// teeth) as Recv.
-func (c *Ctx) RecvMsgs() []Message {
-	st := c.st
-	b := st.engineBuffers
-	v := c.v
-	if b.wakeCur[v] != st.snow-1 {
-		return nil
-	}
-	rs := st.net.csr.RowStart
-	lo, hi := rs[v], rs[v+1]
-	sentAt := st.snow - 1
-	stamps := b.curStamp[lo:hi]
-	occupied := 0
-	for _, s := range stamps {
-		if s == sentAt {
-			occupied++
-		}
-	}
-	msgs := b.curMsg[lo:hi]
-	if occupied == len(stamps) {
-		// Full range: the slots themselves, in slot order, are the answer.
-		// Retention is still caught under debugPoisonRecv — the buffer this
-		// aliases is retired at the flip and poisoned wholesale there.
-		return msgs
-	}
-	if occupied == 0 {
-		// Awake but nothing delivered (a scenario destroyed the in-flight
-		// message): never allocate the scratch for an empty view.
-		return nil
-	}
-	dst := b.msgView()[lo:hi]
-	n := 0
-	for s := range stamps {
-		if stamps[s] == sentAt {
-			dst[n] = msgs[s]
-			n++
-		}
-	}
-	return dst[:n]
-}
-
-// RecvOn returns the message delivered on port p this round, if any. It is
-// the port-indexed counterpart of Recv: one table lookup and one stamp
-// compare, no view construction, no copy of anything but the returned
-// value. Protocols that await a reply on a known port (parent edges,
-// chosen-edge exchanges) should prefer it over scanning the full Recv view.
-//
-// The Incoming is returned by value, so — unlike a Recv slice — it is the
-// caller's to keep; there is no aliasing hazard. Asking for a port the node
-// does not have panics, as Send does: that is a protocol bug.
-func (c *Ctx) RecvOn(p int) (Incoming, bool) {
-	st := c.st
-	rs := st.net.csr.RowStart
-	lo, hi := rs[c.v], rs[c.v+1]
-	h := lo + int32(p)
-	if p < 0 || h >= hi {
-		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
-	}
-	slot := st.net.portSlot[h]
-	b := st.engineBuffers
-	if b.curStamp[slot] != st.snow-1 {
-		return Incoming{}, false
-	}
-	// The arrival port of the slot behind port p is p itself — no lookup.
-	return Incoming{Port: p, Msg: b.curMsg[slot]}, true
-}
-
-// ForRecv invokes f for every message delivered this round, in the same
-// ascending sender-index order Recv reports, reading the edge-slot buffer
-// in place. rank is the sender's rank among the node's neighbors (the slot
-// offset), so rank == Port only when neighbor order and port order agree.
-//
-// ForRecv never builds the compacted Recv view: where Recv copies the
-// occupied slots of a partially full range into per-node scratch, ForRecv
-// just skips the empty ones — so it is the cheaper primitive for sparse
-// traffic, and the Incoming values it yields are stack copies the callback
-// may retain freely. Calling Send from f is allowed (delivery buffers and
-// send buffers are distinct arrays).
+// The arrival port is synthesized from the static slot geometry (slotPort),
+// and the Incoming values f receives are by-value copies, so the callback
+// may retain them freely — no engine storage is aliased. Calling Send from
+// f is allowed (delivery buffers and send buffers are distinct arrays).
 func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 	st := c.st
 	b := st.engineBuffers
@@ -216,6 +78,30 @@ func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 	}
 }
 
+// half returns the CSR half-edge behind port p. A port the node does not
+// have is a protocol bug and panics. p is range-checked as an int (one
+// unsigned compare covers p < 0) before the int32 conversion, so an
+// out-of-range port cannot wrap back into range.
+func (c *Ctx) half(p int) int32 {
+	rs := c.st.net.csr.RowStart
+	lo, hi := rs[c.v], rs[c.v+1]
+	if uint(p) >= uint(hi-lo) {
+		panic(badPort{c.v, p, hi - lo})
+	}
+	return lo + int32(p)
+}
+
+// badPort is half's panic value. A value rather than a formatted string so
+// the check stays cheap enough to inline into Send.
+type badPort struct {
+	v, p int
+	deg  int32
+}
+
+func (b badPort) Error() string {
+	return fmt.Sprintf("congest: node %d has no port %d (degree %d)", b.v, b.p, b.deg)
+}
+
 // Send transmits one message over port p, to be delivered next round. The
 // message is written straight into its receiver-side edge slot; slots are
 // disjoint across all (sender, port) pairs, so no buffering or merge pass
@@ -230,11 +116,7 @@ func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 func (c *Ctx) Send(p int, m Message) {
 	st := c.st
 	csr := &st.net.csr
-	lo, hi := csr.RowStart[c.v], csr.RowStart[c.v+1]
-	h := lo + int32(p)
-	if p < 0 || h >= hi {
-		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
-	}
+	h := c.half(p)
 	if f := st.fault; f != nil && f.portDead[h] {
 		*c.sent++
 		return
@@ -278,13 +160,7 @@ func (c *Ctx) Send(p int, m Message) {
 
 // CanSend reports whether port p is still free this round.
 func (c *Ctx) CanSend(p int) bool {
-	csr := &c.st.net.csr
-	lo, hi := csr.RowStart[c.v], csr.RowStart[c.v+1]
-	h := lo + int32(p)
-	if p < 0 || h >= hi {
-		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
-	}
-	return c.st.nextStamp[c.st.net.destSlot[h]] != c.st.snow
+	return c.st.nextStamp[c.st.net.destSlot[c.half(p)]] != c.st.snow
 }
 
 // PortDown reports whether port p's edge is dead under the network's fault
@@ -296,14 +172,8 @@ func (c *Ctx) CanSend(p int) bool {
 // crashed node is never stepped, so from inside a Step the world consists
 // of live ports that deliver and dead ports that don't.
 func (c *Ctx) PortDown(p int) bool {
-	st := c.st
-	rs := st.net.csr.RowStart
-	lo, hi := rs[c.v], rs[c.v+1]
-	h := lo + int32(p)
-	if p < 0 || h >= hi {
-		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
-	}
-	f := st.fault
+	h := c.half(p)
+	f := c.st.fault
 	return f != nil && f.portDead[h]
 }
 

@@ -12,7 +12,7 @@
 // seeded from a master seed, and nodes are stepped in index order (node
 // state is strictly local, so order cannot affect outcomes). Because step
 // order cannot affect outcomes, rounds may also be executed by a worker
-// pool (SetWorkers / RunParallel): each worker steps a disjoint contiguous
+// pool (SetWorkers / NewNetworkWorkers): each worker steps a disjoint contiguous
 // shard of nodes, and the edge-slot delivery buffers make the two engines
 // write the exact same memory either way. Shard boundaries are skew-aware
 // (shard.go): they follow the CSR row offsets so shards hold roughly equal
@@ -30,11 +30,10 @@
 // stamp (72 B resident per slot; Network.MemFootprint reports the live
 // breakdown): the arrival port is static slot geometry, derived on read,
 // and stamps rebase at the int32 boundary without protocols noticing
-// (renormStamps). Protocols read deliveries four ways: Ctx.Recv (the full
-// read-only view with ports, the aliasing contract in README.md),
-// Ctx.RecvMsgs (the port-free bulk view — zero-copy under full
-// occupancy), Ctx.ForRecv (in-place iteration, the zero-copy default),
-// and Ctx.RecvOn (O(1) port-indexed lookup).
+// (renormStamps). Protocols read deliveries one way: Ctx.ForRecv iterates
+// a round's messages in place, in ascending sender order, yielding
+// by-value Incoming copies — nothing a protocol holds aliases engine
+// storage.
 //
 // Round execution is activity-proportional (README.md "Sparse-activity
 // round execution"): the engine schedules a round from frontier lists —
@@ -52,11 +51,9 @@
 // Phase execution is shared-proc (README.md "The shared-proc execution
 // model"): the paper's protocols are uniform, so a phase is one NodeProc —
 // a single state machine stepped with the node index — over flat per-node
-// state arrays, run by Network.RunNodes. Network.Run([]Proc) remains as a
-// thin adapter for tests and ad-hoc protocols; both forms are
-// bit-identical. Per-phase flat flag arrays (and the adapter's []Proc
-// tables) recycle through the network's Scratch arena (scratch.go), so
-// repeated phases allocate O(1).
+// state arrays, run by Network.RunNodes. Per-phase flat flag arrays
+// recycle through the network's Scratch arena (scratch.go), so repeated
+// phases allocate O(1).
 //
 // Construction (NewNetwork / NewNetworkWorkers) is O(n + m) and map-free:
 // node IDs scatter into a sorted (id, node) index that NodeByID

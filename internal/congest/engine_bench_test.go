@@ -10,9 +10,9 @@ import (
 
 // Engine benchmarks: steady-state round-loop throughput of the simulator
 // across graph families (degree structure stresses different parts of the
-// edge-slot delivery path) and worker counts. The network and procs are
+// edge-slot delivery path) and worker counts. The network and proc are
 // built once, outside the timed loop, so the numbers measure the engine —
-// phase setup, stepping, Send/Recv delivery — not NewNetwork or closure
+// phase setup, stepping, Send/ForRecv delivery — not NewNetwork or closure
 // construction. `make bench` snapshots these into BENCH_<pr>.json.
 
 // benchFamilies are the n≈10k instances BenchmarkEngine runs on.
@@ -46,18 +46,18 @@ func BenchmarkEngine(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("family=%s/workers=%d", fam.name, workers), func(b *testing.B) {
-				net := NewNetwork(fam.g, 42)
-				procs := benchProcs(net, fam.g.N(), rounds)
+				net := NewNetworkWorkers(fam.g, 42, workers)
+				proc := benchProc(net, rounds)
 				// Warm up the engine's network-lifetime buffers so the loop
 				// measures steady-state rounds, not one-time setup.
-				if _, err := net.RunParallel("warmup", procs, rounds+8, workers); err != nil {
+				if _, err := net.RunNodes("warmup", proc, rounds+8); err != nil {
 					b.Fatal(err)
 				}
 				net.ResetMetrics()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := net.RunParallel("bench", procs, rounds+8, workers); err != nil {
+					if _, err := net.RunNodes("bench", proc, rounds+8); err != nil {
 						b.Fatal(err)
 					}
 					net.ResetMetrics()
@@ -65,9 +65,7 @@ func BenchmarkEngine(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
 				// Resident slot-array bytes per edge slot (MemFootprint):
-				// 72 is the compaction-free SoA floor — the storm reads via
-				// RecvMsgs, whose full-occupancy path aliases the slot buffer,
-				// so neither lazy view buffer ever comes into existence.
+				// the 72 B/slot SoA delivery core.
 				b.ReportMetric(net.MemFootprint().BytesPerSlot(), "bytes/slot")
 				if workers > 1 {
 					// Shard imbalance under the step-wave boundaries this run
@@ -82,124 +80,64 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineSetup measures PHASE SETUP — the protocol-side cost
-// BenchmarkEngine deliberately excludes: building one phase's proc state
-// and a per-port flag table, then running a short phase. Three idioms:
+// BenchmarkEngine deliberately excludes: building one phase's proc and a
+// per-port flag table, then running a short phase. The idiom is the one
+// production protocols use: one shared NodeProc over a flat flag array
+// recycled through Scratch.PortBools.
 //
-//	scratch=false  pre-PR-3: fresh make([]Proc) closures + per-node [][]bool
-//	scratch=true   PR 3: Scratch.Procs closures + one CSR-offset PortBools
-//	proc=shared    PR 4: one shared NodeProc over the flat flag array —
-//	               no per-node proc objects at all
-//
-// The allocs/op trajectory across the three rows is the phase-setup
-// allocation story: ~2n+11 -> ~n+9 -> O(1). The proc=shared row is pinned
-// at 2 allocs/op, both owned by this benchmark's workload, not the engine:
-// the NodeProcFunc closure (fresh per phase — building one proc value per
-// phase is the idiom being measured) and the shared `got` counter, which
-// escapes into it. The engine itself starts a phase allocation-free: the
-// runState is recycled (Network.rs), the []Proc form is passed unboxed
-// (runPhase), and record appends into retained capacity (ResetMetrics).
-// make bench-allocs-check enforces the pins.
+// The row is pinned at 2 allocs/op, both owned by this benchmark's
+// workload, not the engine: the NodeProcFunc closure (fresh per phase —
+// building one proc value per phase is the idiom being measured) and the
+// shared `got` counter, which escapes into it. The engine itself starts a
+// phase allocation-free: the runState is recycled (Network.rs) and record
+// appends into retained capacity (ResetMetrics). make bench-allocs-check
+// enforces the pin.
 func BenchmarkEngineSetup(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		g := fam.g
-		for _, mode := range []string{"scratch=false", "scratch=true", "proc=shared"} {
-			name := fmt.Sprintf("family=%s/%s", fam.name, mode)
-			b.Run(name, func(b *testing.B) {
-				net := NewNetwork(g, 42)
-				csr := g.CSR()
-				// One warmup phase so the engine's network-lifetime buffers
-				// (and the arena, when used) exist before timing starts.
-				setupPhase(b, net, csr, mode)
+		b.Run(fmt.Sprintf("family=%s/proc=shared", fam.name), func(b *testing.B) {
+			// Pinned to the sequential engine: the shared `got` counter is
+			// cross-node mutable state, which the locality rule forbids on
+			// the parallel engine — and this benchmark must measure the same
+			// engine regardless of the CONGEST_WORKERS default.
+			net := NewNetworkWorkers(g, 42, 1)
+			csr := g.CSR()
+			// One warmup phase so the engine's network-lifetime buffers and
+			// the arena exist before timing starts.
+			setupPhase(b, net, csr)
+			net.ResetMetrics()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setupPhase(b, net, csr)
 				net.ResetMetrics()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					setupPhase(b, net, csr, mode)
-					net.ResetMetrics()
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// setupPhase builds one phase's proc state and per-port flags in the given
-// idiom and runs it: every node broadcasts once, receivers count deliveries
-// on flagged ports. The phase is pinned to the sequential engine (explicit
-// workers=1): the shared `got` counter is cross-node mutable state, which
-// the locality rule forbids on the parallel engine — and this benchmark
-// must measure the same engine regardless of the CONGEST_WORKERS default.
-func setupPhase(b *testing.B, net *Network, csr graph.CSR, mode string) {
+// setupPhase builds one phase's proc and per-port flags and runs it: every
+// node broadcasts once, receivers count deliveries on flagged ports.
+func setupPhase(b *testing.B, net *Network, csr graph.CSR) {
 	b.Helper()
-	n := net.N()
 	got := 0
-	if mode == "proc=shared" {
-		flat := net.Scratch().PortBools()
-		for i := range flat {
-			flat[i] = i%2 == 0
-		}
-		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			if ctx.Round() == 0 {
-				ctx.Broadcast(Message{A: int64(v)})
-				return false
-			}
-			ctx.ForRecv(func(_ int, in Incoming) {
-				if flat[csr.RowStart[v]+int32(in.Port)] {
-					got++
-				}
-			})
+	flat := net.Scratch().PortBools()
+	for i := range flat {
+		flat[i] = i%2 == 0
+	}
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if ctx.Round() == 0 {
+			ctx.Broadcast(Message{A: int64(v)})
 			return false
-		})
-		if _, err := net.RunNodesParallel("setup", proc, 8, 1); err != nil {
-			b.Fatal(err)
 		}
-		if got < 0 {
-			b.Fatal("impossible")
-		}
-		return
-	}
-	useScratch := mode == "scratch=true"
-	var procs []Proc
-	var flat []bool      // scratch=true: one 2m array, CSR offsets
-	var perNode [][]bool // scratch=false: the old per-node shape
-	if useScratch {
-		procs = net.Scratch().Procs(n)
-		flat = net.Scratch().PortBools()
-		for i := range flat {
-			flat[i] = i%2 == 0
-		}
-	} else {
-		procs = make([]Proc, n)
-		perNode = make([][]bool, n)
-		for v := 0; v < n; v++ {
-			row := make([]bool, csr.RowStart[v+1]-csr.RowStart[v])
-			for i := range row {
-				row[i] = (int(csr.RowStart[v])+i)%2 == 0
+		ctx.ForRecv(func(_ int, in Incoming) {
+			if flat[csr.RowStart[v]+int32(in.Port)] {
+				got++
 			}
-			perNode[v] = row
-		}
-	}
-	for v := 0; v < n; v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			if ctx.Round() == 0 {
-				ctx.Broadcast(Message{A: int64(v)})
-				return false
-			}
-			ctx.ForRecv(func(_ int, in Incoming) {
-				var flagged bool
-				if useScratch {
-					flagged = flat[csr.RowStart[v]+int32(in.Port)]
-				} else {
-					flagged = perNode[v][in.Port]
-				}
-				if flagged {
-					got++
-				}
-			})
-			return false
 		})
-	}
-	if _, err := net.RunParallel("setup", procs, 8, 1); err != nil {
+		return false
+	})
+	if _, err := net.RunNodes("setup", proc, 8); err != nil {
 		b.Fatal(err)
 	}
 	if got < 0 {

@@ -15,20 +15,12 @@ type MemFootprint struct {
 	// both int32 stamp buffers — the arrays every delivered message moves
 	// through. 72 B per slot (2 x 32 B message + 2 x 4 B stamp).
 	SlotBytes int64
-	// RecvViewBytes is the lazily allocated compacted-Recv view buffer
-	// (40 B/slot of Incoming). Zero until a protocol's first compacting
-	// Recv call; stays zero forever under ForRecv/RecvOn/RecvMsgs.
-	RecvViewBytes int64
-	// MsgViewBytes is the lazily allocated RecvMsgs compaction scratch
-	// (32 B/slot of Message). Zero until the first *sparse* RecvMsgs call —
-	// full-occupancy calls alias the slot buffer and allocate nothing.
-	MsgViewBytes int64
 	// GeometryBytes is the static slot geometry built at NewNetwork:
-	// destSlot, portSlot, and slotPort (3 x 4 B per slot), plus the CSR
-	// adjacency the network aliases is counted by its owner, not here.
+	// destSlot and slotPort (2 x 4 B per slot); the CSR adjacency the
+	// network aliases is counted by its owner, not here.
 	GeometryBytes int64
-	// NodeBytes is the per-node engine state: wake stamps, Recv view
-	// bookkeeping, and the active flags (17 B per node).
+	// NodeBytes is the per-node engine state: wake stamps and the active
+	// flags (9 B per node).
 	NodeBytes int64
 	// FrontierBytes is the sparse-execution frontier state: the four
 	// double-buffered active/woken node lists (16 B per node). Per-node
@@ -48,37 +40,32 @@ type MemFootprint struct {
 
 // Total sums every component.
 func (f MemFootprint) Total() int64 {
-	return f.SlotBytes + f.RecvViewBytes + f.MsgViewBytes + f.GeometryBytes + f.NodeBytes + f.FrontierBytes + f.DirtyBytes + f.IDBytes
+	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.FrontierBytes + f.DirtyBytes + f.IDBytes
 }
 
 // BytesPerSlot is the resident slot-array bytes per edge slot: the flipping
-// delivery core plus whichever lazy view buffers this network's protocols
-// forced into existence, divided by the slot count. 72 for a
-// compaction-free network (the PR 8 layout's 120 was three 40 B Incoming
-// arrays per slot plus 16 B of int64 stamps — always, for every protocol).
+// delivery core divided by the slot count, 72 once the buffers exist.
 func (f MemFootprint) BytesPerSlot() float64 {
 	if f.Slots == 0 {
 		return 0
 	}
-	return float64(f.SlotBytes+f.RecvViewBytes+f.MsgViewBytes) / float64(f.Slots)
+	return float64(f.SlotBytes) / float64(f.Slots)
 }
 
 // MemFootprint reports the network's current engine memory breakdown. Cheap
 // (a handful of len reads); callable at any point in the network's life —
-// before the first Run the flipping buffers do not exist yet and SlotBytes
-// is 0, so benchmarks should sample after warmup.
+// before the first phase the flipping buffers do not exist yet and
+// SlotBytes is 0, so benchmarks should sample after warmup.
 func (n *Network) MemFootprint() MemFootprint {
 	const (
 		msgSize  = int64(unsafe.Sizeof(Message{}))
-		incSize  = int64(unsafe.Sizeof(Incoming{}))
 		i32Size  = int64(unsafe.Sizeof(int32(0)))
 		i64Size  = int64(unsafe.Sizeof(int64(0)))
 		boolSize = int64(unsafe.Sizeof(false))
 	)
 	f := MemFootprint{
-		Slots: len(n.csr.PortTo),
-		GeometryBytes: i32Size *
-			int64(len(n.destSlot)+len(n.portSlot)+len(n.slotPort)),
+		Slots:         len(n.csr.PortTo),
+		GeometryBytes: i32Size * int64(len(n.destSlot)+len(n.slotPort)),
 		IDBytes: i64Size*int64(len(n.ids)+len(n.idSorted)) +
 			i32Size*int64(len(n.idNode)),
 	}
@@ -88,18 +75,12 @@ func (n *Network) MemFootprint() MemFootprint {
 	}
 	f.SlotBytes = msgSize*int64(len(b.curMsg)+len(b.nextMsg)) +
 		i32Size*int64(len(b.curStamp)+len(b.nextStamp))
-	// The lazy view buffers are published by an atomic flag (recvView /
-	// msgView); reading their lengths behind a Load keeps MemFootprint
-	// callable while a parallel phase is stepping.
-	if b.recvBufReady.Load() {
-		f.RecvViewBytes = incSize * int64(len(b.recvBuf))
-	}
-	if b.msgBufReady.Load() {
-		f.MsgViewBytes = msgSize * int64(len(b.msgBuf))
-	}
-	f.NodeBytes = i32Size*int64(len(b.wakeCur)+len(b.wakeNext)+len(b.recvLen)+len(b.recvRound)) +
+	f.NodeBytes = i32Size*int64(len(b.wakeCur)+len(b.wakeNext)) +
 		boolSize*int64(len(b.active))
 	f.FrontierBytes = i32Size * int64(len(b.frontA)+len(b.frontB)+len(b.wokeA)+len(b.wokeB))
+	// The dirty buffer is published by an atomic flag (ensurePool); reading
+	// its length behind a Load keeps MemFootprint callable while a parallel
+	// phase is stepping.
 	if b.dirtyReady.Load() {
 		f.DirtyBytes = i32Size * int64(len(b.dirty))
 	}

@@ -7,12 +7,11 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-// nodeproc_test.go covers the shared-proc execution path (NodeProc /
-// RunNodes): bit-identical agreement with the per-node []Proc form on both
-// engines, the degenerate shapes, the nil-proc guard, and the poison-mode
-// retention contract driven through RunNodes.
+// nodeproc_test.go covers the phase runner (NodeProc / RunNodes):
+// bit-identical agreement across worker counts, the degenerate shapes, and
+// the nil-proc guard.
 
-// gossipTopologies are the shapes both phase drivers must agree on.
+// gossipTopologies are the shapes every engine must agree on.
 func gossipTopologies() []struct {
 	name string
 	g    *graph.Graph
@@ -32,15 +31,15 @@ func gossipTopologies() []struct {
 
 // gossipStep is the common per-node round body: fold deliveries into
 // minHeard and a transcript digest, then send on a random port (plus a
-// broadcast on even rounds) while active. It exercises Recv, Rand, Send,
-// CanSend, and the wake scheduler.
+// broadcast on even rounds) while active. It exercises ForRecv, Rand,
+// Send, CanSend, and the wake scheduler.
 func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
-	for _, in := range ctx.Recv() {
+	ctx.ForRecv(func(_ int, in Incoming) {
 		if in.Msg.A < minHeard[v] {
 			minHeard[v] = in.Msg.A
 		}
 		digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
-	}
+	})
 	if ctx.Round() < 6 {
 		if d := ctx.Degree(); d > 0 {
 			p := ctx.Rand().Intn(d)
@@ -58,55 +57,40 @@ func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
 	return false
 }
 
-// runGossip executes the gossip protocol through either phase driver and
+// runGossip executes the gossip protocol at the given worker count and
 // serializes the complete observable outcome.
-func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int, shared bool) string {
+func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int) string {
 	t.Helper()
-	net := NewNetwork(g, seed)
+	net := NewNetworkWorkers(g, seed, workers)
 	n := g.N()
 	minHeard := make([]int64, n)
 	digest := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minHeard[v] = net.ID(v)
 	}
-	var err error
-	if shared {
-		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			return gossipStep(ctx, v, minHeard, digest)
-		})
-		_, err = net.RunNodesParallel("gossip", proc, 100, workers)
-	} else {
-		procs := make([]Proc, n)
-		for v := 0; v < n; v++ {
-			v := v
-			procs[v] = ProcFunc(func(ctx *Ctx) bool {
-				return gossipStep(ctx, v, minHeard, digest)
-			})
-		}
-		_, err = net.RunParallel("gossip", procs, 100, workers)
-	}
-	if err != nil {
-		t.Fatalf("workers=%d shared=%v: %v", workers, shared, err)
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		return gossipStep(ctx, v, minHeard, digest)
+	})
+	if _, err := net.RunNodes("gossip", proc, 100); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return fmt.Sprintf("state=%v digest=%v total=%+v phases=%+v",
 		minHeard, digest, net.Total(), net.Phases())
 }
 
-// TestRunNodesMatchesRun is the shared-proc equivalence gate: on every
-// topology, seed, and worker count, RunNodes with a shared NodeProc must be
-// bit-identical — outputs, Rounds/Messages, per-phase log — to Run with the
-// per-node closure table (which itself is pinned against the sequential
-// engine by the other harnesses).
+// TestRunNodesMatchesRun is the worker-count equivalence gate: on every
+// topology and seed, a RunNodes phase on the parallel engine (workers 2 and
+// 4) must be bit-identical — outputs, Rounds/Messages, per-phase log — to
+// the same run on the sequential engine.
 func TestRunNodesMatchesRun(t *testing.T) {
 	for _, tc := range gossipTopologies() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 8} {
-				want := runGossip(t, tc.g, seed, 1, false)
-				for _, workers := range []int{1, 2, 4} {
-					if got := runGossip(t, tc.g, seed, workers, true); got != want {
-						t.Errorf("seed %d workers %d: RunNodes diverged from Run\nRunNodes: %s\nRun:      %s",
-							seed, workers, got, want)
+				want := runGossip(t, tc.g, seed, 1)
+				for _, workers := range []int{2, 4} {
+					if got := runGossip(t, tc.g, seed, workers); got != want {
+						t.Errorf("seed %d workers %d: parallel run diverged from sequential\nworkers=%d: %s\nworkers=1: %s",
+							seed, workers, workers, got, want)
 					}
 				}
 			}
@@ -150,9 +134,7 @@ func TestRunNodesDegenerate(t *testing.T) {
 				ctx.Send(0, Message{A: 9})
 			}
 			if v == 1 {
-				if in, ok := ctx.RecvOn(0); ok {
-					got = in.Msg.A
-				}
+				ctx.ForRecv(func(_ int, in Incoming) { got = in.Msg.A })
 			}
 			return false
 		})
@@ -172,51 +154,5 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 	net := NewNetwork(graph.Path(2), 1)
 	if _, err := net.RunNodes("nil", nil, 4); err == nil {
 		t.Fatal("RunNodes(nil) on a non-empty network did not error")
-	}
-}
-
-// TestRunNodesPoisonRetention mirrors the Recv aliasing contract through
-// the shared-proc driver: with the poison detector armed, a Recv view
-// retained across rounds reads poison while RecvOn values stay intact —
-// RunNodes must preserve the exact same buffer discipline as Run.
-func TestRunNodesPoisonRetention(t *testing.T) {
-	debugPoisonRecv = true
-	defer func() { debugPoisonRecv = false }()
-
-	net := NewNetwork(graph.Path(2), 1)
-	var byOn Incoming
-	var retainedView []Incoming
-	checked := false
-	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-		if v == 0 {
-			if ctx.Round() < 2 {
-				ctx.Send(0, Message{A: 42 + ctx.Round()})
-				return true
-			}
-			return false
-		}
-		switch ctx.Round() {
-		case 1:
-			var ok bool
-			if byOn, ok = ctx.RecvOn(0); !ok || byOn.Msg.A != 42 {
-				t.Errorf("round 1 RecvOn = %+v ok=%v, want A=42", byOn, ok)
-			}
-			retainedView = ctx.Recv()
-		case 2:
-			checked = true
-			if byOn.Msg.A != 42 {
-				t.Errorf("retained RecvOn value changed: %+v, want A=42", byOn)
-			}
-			if retainedView[0].Msg.Kind != poisonKind {
-				t.Errorf("retained Recv view reads %+v, want poison", retainedView[0])
-			}
-		}
-		return ctx.Round() < 2
-	})
-	if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !checked {
-		t.Fatal("retention check never ran")
 	}
 }

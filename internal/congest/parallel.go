@@ -6,13 +6,12 @@ import "slices"
 // one, but shards node stepping across a persistent worker pool.
 // Determinism is preserved by construction:
 //
-//   - each node is stepped by exactly one worker, so per-node state,
-//     per-node PRNG streams, and the node's Recv view are touched by a
-//     single goroutine;
+//   - each node is stepped by exactly one worker, so per-node state and
+//     per-node PRNG streams are touched by a single goroutine;
 //   - Send writes straight into the receiver-side edge slot. Every slot is
 //     owned by exactly one (sender, port) pair, so workers write disjoint
 //     memory and the old per-sender outbox + sender-index merge pass does
-//     not exist: delivery order is reconstructed structurally by Recv's
+//     not exist: delivery order is reconstructed structurally by ForRecv's
 //     neighbor-ordered slot walk, on either engine;
 //   - the wake stamps a sequential Send writes inline need a single writer
 //     per receiver; with concurrent senders they are derived instead in a
@@ -148,7 +147,7 @@ func RunPool(k int, fn func(worker int)) {
 // node apiece over the blocks, not piled on the last; with k > n exactly
 // n blocks hold one node and the rest are empty, and n = 0 yields k empty
 // blocks (shard_test.go pins this contract). Contiguity makes every
-// per-node array (active, recvLen, wakeNext, ...) write in disjoint
+// per-node array (active, wakeNext, ...) write in disjoint
 // cache-line ranges per worker.
 //
 // The engine's waves no longer shard on this uniform split — equal node
@@ -408,7 +407,7 @@ func (st *runState) stepParallel() int64 {
 const minParallelFillNodes = 1 << 14
 
 // fillGeometryParallel is the sharded slot-geometry fill: the same
-// destSlot/portSlot tables the sequential pass in fillGeometry produces,
+// destSlot/slotPort tables the sequential pass in fillGeometry produces,
 // computed in three waves on a temporary pool. The sequential pass is a
 // running-counter scan (slot of half-edge u→v is RowStart[v] + how many
 // half-edges into v precede it in ascending sender order), which
@@ -427,8 +426,8 @@ const minParallelFillNodes = 1 << 14
 // Every slot value equals the sequential pass's: sender blocks are
 // ascending and contiguous, so block-w-start + within-block-rank is the
 // global ascending-sender rank. Writes are disjoint (destSlot by sender
-// half-edge, portSlot by the receiver half-edge paired to it — a
-// bijection), and the wave barriers order count → prefix → place.
+// half-edge, slotPort by slot — a bijection), and the wave barriers order
+// count → prefix → place.
 //
 // All three waves shard on the receiver-slot-weighted edge-balanced
 // boundaries (shard.go): every wave's cost is the half-edges it touches,
@@ -473,7 +472,6 @@ func (n *Network) fillGeometryParallel(workers int) {
 				slot := rs[v] + row[v]
 				row[v]++
 				n.destSlot[h] = slot
-				n.portSlot[rs[v]+n.csr.PortRev[h]] = slot
 				n.slotPort[slot] = n.csr.PortRev[h]
 			}
 		}

@@ -6,39 +6,35 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-// gossipProcs builds the randomized-gossip protocol from
+// gossipProc builds the randomized-gossip protocol from
 // TestDeterminismAcrossRuns on net: each node tracks the min ID heard and,
 // for `rounds` rounds, sends it on a random port (per-node PRNG traffic).
-func gossipProcs(net *Network, rounds int64) ([]Proc, []int64) {
-	n := net.N()
-	minHeard := make([]int64, n)
-	procs := make([]Proc, n)
-	for v := 0; v < n; v++ {
-		v := v
+func gossipProc(net *Network, rounds int64) (NodeProc, []int64) {
+	minHeard := make([]int64, net.N())
+	for v := range minHeard {
 		minHeard[v] = net.ID(v)
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			for _, in := range ctx.Recv() {
-				if in.Msg.A < minHeard[v] {
-					minHeard[v] = in.Msg.A
-				}
-			}
-			if ctx.Round() < rounds {
-				ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
-				return true
-			}
-			return false
-		})
 	}
-	return procs, minHeard
+	return NodeProcFunc(func(ctx *Ctx, v int) bool {
+		ctx.ForRecv(func(_ int, in Incoming) {
+			if in.Msg.A < minHeard[v] {
+				minHeard[v] = in.Msg.A
+			}
+		})
+		if ctx.Round() < rounds {
+			ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
+			return true
+		}
+		return false
+	}), minHeard
 }
 
 // gossipRun executes the gossip protocol on a fresh network with the given
 // worker count and returns the phase cost and final per-node state.
 func gossipRun(t *testing.T, g *graph.Graph, seed int64, rounds int64, workers int) (Metrics, []int64) {
 	t.Helper()
-	net := NewNetwork(g, seed)
-	procs, minHeard := gossipProcs(net, rounds)
-	cost, err := net.RunParallel("gossip", procs, 1000, workers)
+	net := NewNetworkWorkers(g, seed, workers)
+	proc, minHeard := gossipProc(net, rounds)
+	cost, err := net.RunNodes("gossip", proc, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,21 +71,19 @@ func TestParallelMatchesSequentialGossip(t *testing.T) {
 func TestParallelInboxOrderMatchesSequential(t *testing.T) {
 	g := graph.Torus(5, 5)
 	run := func(workers int) [][]Incoming {
-		net := NewNetwork(g, 3)
+		net := NewNetworkWorkers(g, 3, workers)
 		transcript := make([][]Incoming, g.N())
-		procs := make([]Proc, g.N())
-		for v := 0; v < g.N(); v++ {
-			v := v
-			procs[v] = ProcFunc(func(ctx *Ctx) bool {
-				transcript[v] = append(transcript[v], ctx.Recv()...)
-				if ctx.Round() < 3 {
-					ctx.Broadcast(Message{A: ctx.ID(), B: ctx.Round()})
-					return true
-				}
-				return false
+		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+			ctx.ForRecv(func(_ int, in Incoming) {
+				transcript[v] = append(transcript[v], in)
 			})
-		}
-		if _, err := net.RunParallel("storm", procs, 100, workers); err != nil {
+			if ctx.Round() < 3 {
+				ctx.Broadcast(Message{A: ctx.ID(), B: ctx.Round()})
+				return true
+			}
+			return false
+		})
+		if _, err := net.RunNodes("storm", proc, 100); err != nil {
 			t.Fatal(err)
 		}
 		return transcript
@@ -117,17 +111,13 @@ func TestParallelInboxOrderMatchesSequential(t *testing.T) {
 // messages, and after an active return) is engine-independent.
 func TestParallelIdleNodesAreNotStepped(t *testing.T) {
 	g := graph.Path(3)
-	net := NewNetwork(g, 1)
+	net := NewNetworkWorkers(g, 1, 3)
 	steps := make([]int, g.N())
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			steps[v]++
-			return v == 0 && ctx.Round() < 4
-		})
-	}
-	if _, err := net.RunParallel("idle", procs, 100, 3); err != nil {
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		steps[v]++
+		return v == 0 && ctx.Round() < 4
+	})
+	if _, err := net.RunNodes("idle", proc, 100); err != nil {
 		t.Fatal(err)
 	}
 	if steps[1] != 1 || steps[2] != 1 {
@@ -142,28 +132,25 @@ func TestParallelIdleNodesAreNotStepped(t *testing.T) {
 // goroutine still surfaces as a panic on the caller's goroutine.
 func TestParallelDoubleSendPanics(t *testing.T) {
 	g := graph.Path(4)
-	net := NewNetwork(g, 1)
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			if v == 2 {
-				ctx.Send(0, Message{})
-				ctx.Send(0, Message{})
-			}
-			return false
-		})
-	}
+	net := NewNetworkWorkers(g, 1, 2)
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if v == 2 {
+			ctx.Send(0, Message{})
+			ctx.Send(0, Message{})
+		}
+		return false
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double send on the parallel engine did not panic")
 		}
 	}()
-	_, _ = net.RunParallel("dup", procs, 10, 2)
+	_, _ = net.RunNodes("dup", proc, 10)
 }
 
-// TestSetWorkersThreadsThroughRun checks the Network-level option: Run on a
-// network configured with SetWorkers must match an explicit sequential run.
+// TestSetWorkersThreadsThroughRun checks the Network-level option: RunNodes
+// on a network configured with SetWorkers must match an explicit
+// sequential run.
 func TestSetWorkersThreadsThroughRun(t *testing.T) {
 	g := graph.Grid(6, 6)
 	seqCost, seqState := gossipRun(t, g, 5, 6, 1)
@@ -173,13 +160,13 @@ func TestSetWorkersThreadsThroughRun(t *testing.T) {
 	if net.Workers() != 4 {
 		t.Fatalf("Workers() = %d after SetWorkers(4)", net.Workers())
 	}
-	procs, minHeard := gossipProcs(net, 6)
-	cost, err := net.Run("gossip", procs, 1000)
+	proc, minHeard := gossipProc(net, 6)
+	cost, err := net.RunNodes("gossip", proc, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost != seqCost {
-		t.Fatalf("SetWorkers(4) Run cost %+v, sequential %+v", cost, seqCost)
+		t.Fatalf("SetWorkers(4) RunNodes cost %+v, sequential %+v", cost, seqCost)
 	}
 	for v := range minHeard {
 		if minHeard[v] != seqState[v] {
@@ -188,32 +175,27 @@ func TestSetWorkersThreadsThroughRun(t *testing.T) {
 	}
 }
 
-// benchProcs builds a message-heavy aggregation protocol (every node
+// benchProc builds a message-heavy aggregation protocol (every node
 // broadcasts its running min-ID every round for `rounds` rounds) on a
 // large graph, the workload the parallel engine is for.
-func benchProcs(net *Network, n int, rounds int64) []Proc {
-	minHeard := make([]int64, n)
-	procs := make([]Proc, n)
-	for v := 0; v < n; v++ {
-		v := v
+func benchProc(net *Network, rounds int64) NodeProc {
+	minHeard := make([]int64, net.N())
+	for v := range minHeard {
 		minHeard[v] = net.ID(v)
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			// Port-free aggregation: RecvMsgs is the fit primitive (under
-			// full broadcast load it aliases the slot range outright).
-			for _, m := range ctx.RecvMsgs() {
-				if m.A < minHeard[v] {
-					minHeard[v] = m.A
-				}
-			}
-			if ctx.Round() < rounds {
-				ctx.Broadcast(Message{A: minHeard[v]})
-				return true
-			}
-			return false
-		})
 	}
-	return procs
+	return NodeProcFunc(func(ctx *Ctx, v int) bool {
+		ctx.ForRecv(func(_ int, in Incoming) {
+			if in.Msg.A < minHeard[v] {
+				minHeard[v] = in.Msg.A
+			}
+		})
+		if ctx.Round() < rounds {
+			ctx.Broadcast(Message{A: minHeard[v]})
+			return true
+		}
+		return false
+	})
 }
 
 // BenchmarkEngine lives in engine_bench_test.go (graph-family × worker-count
-// matrix over the same benchProcs storm).
+// matrix over the same benchProc storm).

@@ -13,9 +13,9 @@ import (
 // package variable precisely so this test can force the boundary on a tiny
 // network instead of simulating 2^31 rounds.
 
-// renormGossip runs a fixed multi-phase mixed-primitive protocol and
-// returns everything observable about it: final per-node states, total
-// metrics, and the network's stamp epoch afterward.
+// renormGossip runs a fixed multi-phase protocol and returns everything
+// observable about it: final per-node states, total metrics, and the
+// network's stamp epoch afterward.
 func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	t.Helper()
 	g := graph.Torus(4, 4)
@@ -27,25 +27,19 @@ func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	}
 	// Three phases so renormalization also has to survive phase boundaries
 	// (the clock skips +2 between phases and stale stamps must stay stale).
-	// The protocol mixes every read primitive so each stamp family —
-	// delivery, wake, and Recv-view round tags — crosses the boundary live.
+	// Both stamp families — delivery and wake — cross the boundary live.
 	for phase := 0; phase < 3; phase++ {
 		const rounds = 40
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			for _, m := range ctx.RecvMsgs() {
-				if m.A < minHeard[v] {
-					minHeard[v] = m.A
-				}
-			}
-			for _, in := range ctx.Recv() { // exercises recvRound rebasing
+			ctx.ForRecv(func(_ int, in Incoming) {
 				if in.Msg.A < minHeard[v] {
 					minHeard[v] = in.Msg.A
 				}
-			}
+			})
 			if ctx.Round() < rounds {
 				// Sparse on odd rounds: only half the nodes broadcast, so
-				// compacted views and partially stale slot stamps exist on
-				// both sides of a renormalization.
+				// partially stale slot stamps exist on both sides of a
+				// renormalization.
 				if ctx.Round()%2 == 0 || v%2 == 0 {
 					ctx.Broadcast(Message{A: minHeard[v] + int64(phase)})
 					return true

@@ -203,10 +203,10 @@ func TestNestedRunRejected(t *testing.T) {
 		t.Fatalf("outer phase failed: %v", err)
 	}
 	if nestedErr == errNoNestedFailure {
-		t.Fatal("nested Run on the same network was not rejected")
+		t.Fatal("nested RunNodes on the same network was not rejected")
 	}
 	if nestedErr == nil || !strings.Contains(nestedErr.Error(), "another phase") {
-		t.Fatalf("nested Run error = %v, want the running-phase rejection", nestedErr)
+		t.Fatalf("nested RunNodes error = %v, want the running-phase rejection", nestedErr)
 	}
 }
 

@@ -3,22 +3,21 @@ package congest
 // Scratch is a small arena of reusable protocol-side buffers, one per
 // network. Steady-state engine rounds are allocation-free (see README.md),
 // which leaves phase setup as the protocol layer's dominant allocation
-// source: every net.Run needs a []Proc, and many phases want a per-node or
-// per-port flag array that dies with the phase. Scratch recycles those.
+// source: many phases want a per-node or per-port flag array that dies with
+// the phase. Scratch recycles those.
 //
 // Every getter returns a buffer cleared to zero values, exactly as make()
 // would hand it out, so swapping make for Scratch cannot change protocol
 // outputs. What changes is ownership: each getter recycles ONE buffer, and
 // the returned slice is valid only until the next call to the same getter
 // on the same network. That contract fits the phase-setup pattern the
-// arena exists for — fill the buffer, pass it to Run, let go when Run
-// returns — and the engine runs one phase at a time (phases share the
-// network's clock and delivery buffers), so two live procs arrays cannot
-// overlap. Do NOT use Scratch for state that outlives a phase or is
-// returned to a caller.
+// arena exists for — fill the buffer, run the phase with RunNodes, let go
+// when RunNodes returns — and the engine runs one phase at a time (phases
+// share the network's clock and delivery buffers), so two live flag arrays
+// from one getter cannot overlap. Do NOT use Scratch for state that
+// outlives a phase or is returned to a caller.
 type Scratch struct {
 	net    *Network
-	procs  []Proc
 	bools  []bool
 	int64s []int64
 	ports  []bool
@@ -30,20 +29,6 @@ func (n *Network) Scratch() *Scratch {
 		n.scratch = &Scratch{net: n}
 	}
 	return n.scratch
-}
-
-// Procs returns a cleared []Proc of length n, reusing the arena's buffer.
-// Valid until the next Procs call on this network; pass it to Run and let
-// it go.
-func (s *Scratch) Procs(n int) []Proc {
-	if cap(s.procs) < n {
-		s.procs = make([]Proc, n)
-	}
-	p := s.procs[:n]
-	for i := range p {
-		p[i] = nil
-	}
-	return p
 }
 
 // Bools returns a cleared []bool of length n (per-node flags for one phase).

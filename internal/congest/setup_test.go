@@ -39,8 +39,8 @@ func TestParallelGeometryFillMatchesSequential(t *testing.T) {
 					if seq.destSlot[s] != par.destSlot[s] {
 						t.Fatalf("workers=%d: destSlot[%d] = %d, want %d", workers, s, par.destSlot[s], seq.destSlot[s])
 					}
-					if seq.portSlot[s] != par.portSlot[s] {
-						t.Fatalf("workers=%d: portSlot[%d] = %d, want %d", workers, s, par.portSlot[s], seq.portSlot[s])
+					if seq.slotPort[s] != par.slotPort[s] {
+						t.Fatalf("workers=%d: slotPort[%d] = %d, want %d", workers, s, par.slotPort[s], seq.slotPort[s])
 					}
 				}
 			}

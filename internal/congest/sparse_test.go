@@ -119,10 +119,10 @@ func pulseRun(t *testing.T, workers int, sparse bool, spec string, abortFirst bo
 		digest := make([]int64, g.N())
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 			got := 0
-			for _, m := range ctx.RecvMsgs() {
+			ctx.ForRecv(func(_ int, in Incoming) {
 				got++
-				digest[v] = digest[v]*1000003 + m.A%1009 + ctx.Round()
-			}
+				digest[v] = digest[v]*1000003 + in.Msg.A%1009 + ctx.Round()
+			})
 			r := ctx.Round()
 			if r >= rounds {
 				return false
@@ -247,9 +247,7 @@ func TestSparseDegenerateSizes(t *testing.T) {
 			net.SetSparseRounds(sparse)
 			heard := make([]int64, g.N())
 			proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-				for _, m := range ctx.RecvMsgs() {
-					heard[v] += m.A
-				}
+				ctx.ForRecv(func(_ int, in Incoming) { heard[v] += in.Msg.A })
 				if ctx.Round() < 2 {
 					ctx.Broadcast(Message{A: int64(v + 1)})
 					return true
@@ -295,15 +293,15 @@ func TestSparseRenormInterplay(t *testing.T) {
 	}
 }
 
-// TestSetSparseRoundsGuards pins the knob's accessor default and the
-// mid-phase panic string.
+// TestSetSparseRoundsGuards pins the knob's default and the mid-phase
+// panic string.
 func TestSetSparseRoundsGuards(t *testing.T) {
 	net := NewNetwork(graph.Cycle(4), 3)
-	if !net.SparseRounds() {
+	if net.denseOnly {
 		t.Fatal("sparse execution should default on")
 	}
 	net.SetSparseRounds(false)
-	if net.SparseRounds() {
+	if !net.denseOnly {
 		t.Fatal("SetSparseRounds(false) did not latch")
 	}
 	net.SetSparseRounds(true)
@@ -325,7 +323,7 @@ func TestSetSparseRoundsGuards(t *testing.T) {
 	if msg != want {
 		t.Fatalf("mid-phase panic = %q, want %q", msg, want)
 	}
-	if !net.SparseRounds() {
+	if net.denseOnly {
 		t.Fatal("failed mid-phase toggle must not latch")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Degenerate-topology coverage for the flat edge-slot engine: layouts where
 // CSR ranges are empty (isolated nodes, n<=1), where one node owns half of
 // all slots (star hub), and where components never talk to each other
-// (disconnected). Each topology runs a protocol that exercises Recv
+// (disconnected). Each topology runs a protocol that exercises ForRecv
 // ordering, per-node randomness, and the wake scheduler, on the sequential
 // engine and the parallel engine at several worker counts, and the two
 // executions must be bit-identical — the same contract the main harness
@@ -78,12 +78,12 @@ func degenerateRun(t *testing.T, g *graph.Graph, seed int64, workers int) string
 		minHeard[v] = net.ID(v)
 	}
 	proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-		for _, in := range ctx.Recv() {
+		ctx.ForRecv(func(_ int, in congest.Incoming) {
 			if in.Msg.A < minHeard[v] {
 				minHeard[v] = in.Msg.A
 			}
 			digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
-		}
+		})
 		if ctx.Round() < 5 {
 			if d := ctx.Degree(); d > 0 {
 				p := ctx.Rand().Intn(d)
@@ -114,9 +114,12 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 	comp, _ := g.Components()
 	for _, workers := range []int{1, 4} {
 		net := congest.NewNetwork(g, 5)
+		net.SetWorkers(workers)
 		reached := net.Scratch().Bools(g.N())
 		proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-			if (ctx.Round() == 0 && v == 0) || len(ctx.Recv()) > 0 {
+			got := false
+			ctx.ForRecv(func(int, congest.Incoming) { got = true })
+			if (ctx.Round() == 0 && v == 0) || got {
 				if !reached[v] {
 					reached[v] = true
 					ctx.Broadcast(congest.Message{Kind: 1})
@@ -124,7 +127,7 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 			}
 			return false
 		})
-		if _, err := net.RunNodesParallel("flood", proc, 100, workers); err != nil {
+		if _, err := net.RunNodes("flood", proc, 100); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < g.N(); v++ {
