@@ -49,6 +49,18 @@ func recvCases() []recvCase {
 		}},
 		{name: "zero", g: func() *graph.Graph { return graph.Cycle(5) }, rounds: 3,
 			send: func(int, int64, int) bool { return false }},
+		// Edge 0-1 of the path 0-1-2 is dead from round 0: sends on it are
+		// counted and dropped, nothing crosses it, and the 1-2 edge keeps
+		// delivering.
+		{name: "dead-port", g: func() *graph.Graph { return graph.Path(3) },
+			spec: "drop=0-1@0", rounds: 3, send: always},
+	}
+}
+
+// degenerateRecvCases are the shapes where CSR ranges collapse: the empty
+// graph, a single node, a single edge, and a graph with isolated nodes.
+func degenerateRecvCases() []recvCase {
+	return []recvCase{
 		{name: "n=0", g: func() *graph.Graph { return graph.MustNew(0, nil) }, rounds: 2, send: always},
 		{name: "n=1", g: func() *graph.Graph { return graph.MustNew(1, nil) }, rounds: 2, send: always},
 		{name: "n=2", g: func() *graph.Graph { return graph.Path(2) }, rounds: 2, send: always},
@@ -56,11 +68,6 @@ func recvCases() []recvCase {
 		{name: "isolated-nodes", g: func() *graph.Graph {
 			return graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 		}, rounds: 2, send: always},
-		// Edge 0-1 of the path 0-1-2 is dead from round 0: sends on it are
-		// counted and dropped, nothing crosses it, and the 1-2 edge keeps
-		// delivering.
-		{name: "dead-port", g: func() *graph.Graph { return graph.Path(3) },
-			spec: "drop=0-1@0", rounds: 3, send: always},
 	}
 }
 
@@ -172,27 +179,112 @@ func neighborRank(csr graph.CSR, v, u int) int {
 	return rank
 }
 
+// checkRecvCase runs c on both engines and holds ForRecv to the transcript.
+func checkRecvCase(t *testing.T, c recvCase) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		res := runRecvCase(t, c, workers)
+		for v, want := range res.want {
+			if !slices.Equal(res.got[v], want) {
+				t.Fatalf("workers=%d node %d: ForRecv yielded\n%+v\nsenders logged\n%+v", workers, v, res.got[v], want)
+			}
+			// An Incoming kept from an early round still reads what
+			// was delivered then: ForRecv yields copies, never views
+			// of the slot buffers later rounds overwrite.
+			if len(want) > 0 && res.first[v] != want[0].in {
+				t.Fatalf("workers=%d node %d: kept Incoming reads %+v, delivered %+v", workers, v, res.first[v], want[0].in)
+			}
+		}
+		if res.cost.Messages != res.sends {
+			t.Fatalf("workers=%d: Messages = %d, senders called Send %d times", workers, res.cost.Messages, res.sends)
+		}
+	}
+}
+
 func TestForRecvContract(t *testing.T) {
 	for _, c := range recvCases() {
-		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				res := runRecvCase(t, c, workers)
-				for v, want := range res.want {
-					if !slices.Equal(res.got[v], want) {
-						t.Fatalf("workers=%d node %d: ForRecv yielded\n%+v\nsenders logged\n%+v", workers, v, res.got[v], want)
-					}
-					// An Incoming kept from an early round still reads what
-					// was delivered then: ForRecv yields copies, never views
-					// of the slot buffers later rounds overwrite.
-					if len(want) > 0 && res.first[v] != want[0].in {
-						t.Fatalf("workers=%d node %d: kept Incoming reads %+v, delivered %+v", workers, v, res.first[v], want[0].in)
-					}
-				}
-				if res.cost.Messages != res.sends {
-					t.Fatalf("workers=%d: Messages = %d, senders called Send %d times", workers, res.cost.Messages, res.sends)
-				}
+		t.Run(c.name, func(t *testing.T) { checkRecvCase(t, c) })
+	}
+}
+
+// TestRecvOnDegenerateTopologies holds the receive path to the same
+// contract on the degenerate topologies, where the slot lookup has empty
+// or single-entry CSR ranges.
+func TestRecvOnDegenerateTopologies(t *testing.T) {
+	for _, c := range degenerateRecvCases() {
+		t.Run(c.name, func(t *testing.T) { checkRecvCase(t, c) })
+	}
+}
+
+// TestRecvOnValueSurvivesRounds: ForRecv hands out Incoming values, not
+// views, so one kept from round 1 still reads what was delivered then after
+// round 2 has delivered a different message on the same port.
+func TestRecvOnValueSurvivesRounds(t *testing.T) {
+	net := NewNetwork(graph.Path(2), 1)
+	var kept Incoming
+	checked := false
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		r := ctx.Round()
+		if v == 0 {
+			if r < 2 {
+				ctx.Send(0, Message{A: 42 + r})
 			}
-		})
+			return r < 2
+		}
+		switch r {
+		case 1:
+			ctx.ForRecv(func(_ int, in Incoming) { kept = in })
+		case 2:
+			checked = true
+			var now Incoming
+			ctx.ForRecv(func(_ int, in Incoming) { now = in })
+			if now.Msg.A != 43 {
+				t.Errorf("round 2 ForRecv = %+v, want A=43", now)
+			}
+			if kept.Msg.A != 42 {
+				t.Errorf("Incoming kept from round 1 changed: %+v, want A=42", kept)
+			}
+		}
+		return r < 2
+	})
+	if _, err := net.RunNodes("recv-retain", proc, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("retention check never ran")
+	}
+}
+
+// TestRecvCopySurvivesRounds: Incoming values collected into a slice of
+// the caller's own stay stable across later rounds.
+func TestRecvCopySurvivesRounds(t *testing.T) {
+	net := NewNetwork(graph.Path(2), 1)
+	var copied []Incoming
+	checked := false
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		r := ctx.Round()
+		if v == 0 {
+			if r < 2 {
+				ctx.Send(0, Message{A: 7 + r})
+			}
+			return r < 2
+		}
+		switch r {
+		case 1:
+			ctx.ForRecv(func(_ int, in Incoming) { copied = append(copied, in) })
+		case 2:
+			checked = true
+			if len(copied) != 1 || copied[0].Msg.A != 7 {
+				t.Errorf("copied messages changed across rounds: %+v", copied)
+			}
+		}
+		return r < 2
+	})
+	if _, err := net.RunNodes("copy", proc, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("copy check never ran")
 	}
 }
 

@@ -286,6 +286,38 @@ func scenarioRun(t *testing.T, net *Network) ([]int64, Metrics) {
 
 // TestScenarioParallelMatchesSequential: the same scenario on the same
 // graph and seed is bit-identical on the sequential and parallel engines —
+// TestRecvOnAndCanSendOnDeadPort pins the dead-port query semantics:
+// ForRecv yields nothing across it, CanSend stays true (the port accepts
+// sends; they vanish), and a repeated Send on a dead port does not trip the
+// double-send panic — there is no slot write to detect it against.
+func TestRecvOnAndCanSendOnDeadPort(t *testing.T) {
+	net := NewNetwork(graph.Path(2), 1)
+	if err := net.SetScenario(&Scenario{Drops: []EdgeDrop{{U: 0, V: 1, Round: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	cost, err := net.RunNodes("scenario/deadport", NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if !ctx.PortDown(0) {
+			t.Errorf("node %d round %d: PortDown(0) = false on the dropped edge", v, ctx.Round())
+		}
+		ctx.ForRecv(func(_ int, in Incoming) {
+			t.Errorf("node %d round %d: ForRecv delivered %+v across a dead edge", v, ctx.Round(), in)
+		})
+		if !ctx.CanSend(0) {
+			t.Errorf("node %d round %d: CanSend(0) = false on a dead port", v, ctx.Round())
+		}
+		ctx.Send(0, Message{A: 1})
+		ctx.Send(0, Message{A: 2}) // no double-send panic on a dead port
+		return ctx.Round() < 2
+	}), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 nodes x 2 sends x 3 rounds, all counted-then-dropped.
+	if want := int64(12); cost.Messages != want {
+		t.Errorf("Messages = %d, want %d", cost.Messages, want)
+	}
+}
+
 // scheduled faults and seeded-random faults both.
 func TestScenarioParallelMatchesSequential(t *testing.T) {
 	const seed = 11
