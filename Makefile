@@ -160,8 +160,13 @@ bench-compare:
 # allocs/op (frontier drain, dirty merge, and overflow fallback all run in
 # preallocated state), and the parallel rows stay within the same pool
 # overhead as the dense storm (29 measured, 40 ceiling).
+# BenchmarkRouterSolve extends the gate to the Algorithm 1 router: one
+# core/solve run on reused per-node records, 4 allocs/op measured at
+# 200 iterations (5 ceiling). The map-based router it replaced made
+# 135,574 per run.
 bench-allocs-check:
-	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$' -benchmem -benchtime=5x ./internal/congest/ \
+	@{ $(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$' -benchmem -benchtime=5x ./internal/congest/ \
+		&& $(GO) test -run='^$$' -bench='^BenchmarkRouterSolve$$' -benchmem -benchtime=200x ./internal/core/; } \
 		| tee /tmp/bench_allocs.txt \
 		| awk ' \
 		/^Benchmark/ { \
@@ -171,6 +176,7 @@ bench-allocs-check:
 				if ($$1 ~ /workers=1($$|-)/) limit = 0; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
 			} \
+			else if ($$1 ~ /^BenchmarkRouterSolve($$|-)/) { limit = 5; router++ } \
 			else if ($$1 ~ /^BenchmarkEngine\//) { \
 				if ($$1 ~ /workers=1($$|-)/) limit = 2; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
@@ -185,6 +191,7 @@ bench-allocs-check:
 		} \
 		END { \
 			if (checked == 0) { print "bench-allocs-check: no benchmark rows parsed"; exit 1 } \
+			if (router == 0) { print "bench-allocs-check: no BenchmarkRouterSolve row parsed"; exit 1 } \
 			if (fail) exit 1; \
 			printf "bench-allocs-check: %d rows within pinned allocs/op ceilings\n", checked \
 		}'

@@ -1,0 +1,50 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"shortcutpa/internal/congest"
+	"shortcutpa/internal/graph"
+	"shortcutpa/internal/part"
+)
+
+// BenchmarkRouterSolve times one Algorithm 1 aggregation (one core/solve
+// router run) over prebuilt infrastructure on Figure 2's grid-plus-apex
+// instance: 16 row parts of diameter 63, far deeper than D, so the router
+// uses the shortcut. Construction and one warm-up solve run outside the
+// timer; allocs/op is the router's own steady-state per-run allocation,
+// gated by make bench-allocs-check.
+func BenchmarkRouterSolve(b *testing.B) {
+	const rows, cols = 16, 64
+	g := graph.GridStar(rows, cols)
+	net := congest.NewNetwork(g, 1)
+	net.SetWorkers(1)
+	e, err := NewEngine(net, Randomized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := part.FromDense(net, graph.GridStarRowParts(rows, cols))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+		b.Fatal(err)
+	}
+	inf, err := e.BuildInfra(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := randomVals(g.N(), rand.New(rand.NewSource(2)))
+	// One untimed solve sizes the Engine's reused router records.
+	if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/shortcut"
@@ -33,6 +31,14 @@ import (
 // (ties by part ID, then arrival order); the randomized variant uses FIFO
 // queues with the whole part delayed by a pseudo-random offset in [0, c)
 // derived from the part ID (Algorithm 1's "delay ~ U(c)").
+//
+// Node state is flat: each node holds its part records sorted by part ID
+// and its port queues sorted by port, found by binary search. Every walk
+// (sealing in tryComplete, sending in flush) runs in ascending order, which
+// is the order the schedule — and so every Rounds/Messages figure — is
+// pinned to. An idle step costs O(1): tryComplete returns at once when no
+// part is open and flush when no port is busy. The Engine reuses the
+// records and their slices from one router run to the next.
 
 // Router message kinds.
 const (
@@ -82,22 +88,47 @@ func (cfg *routerConfig) partDelay(partID int64) int64 {
 	return int64(x % uint64(cfg.delayRange))
 }
 
-// portPart keys per-(port, part) dedup sets.
-type portPart struct {
-	port int
-	part int64
+// queued is one message waiting on a port. pri1 is the block-root depth
+// the deterministic rule orders by first (then part ID msg.A, then seq); the
+// randomized variant pops FIFO and leaves it zero.
+type queued struct {
+	pri1 int64
+	seq  int64
+	msg  congest.Message
 }
 
-// queued is one message waiting on a port, with its scheduling priority.
-type queued struct {
-	pri1, pri2 int64 // (block-root depth, part ID) for the deterministic rule
-	seq        int64
-	msg        congest.Message
+// portQueue is one port's pending messages: items[head:] are queued, and a
+// pop advances head instead of shifting the slice. A drained queue resets
+// to empty so its capacity is reused.
+type portQueue struct {
+	port  int
+	head  int
+	items []queued
+}
+
+// partRec is what a node knows about one part whose token, beacons, acks,
+// aggregates or result have reached it.
+type partRec struct {
+	id          int64
+	informed    bool // token adopted (or originated at the leader)
+	via         int  // first-receipt port; -1 at the origin
+	pendingAcks int  // tokens offered and not yet answered
+	aggWait     int  // adopted children whose AGG has not arrived
+	agg         congest.Val
+	aggHas      bool
+	aggSent     bool  // sealed: AGG sent up, or RESULT started at the origin
+	beaconFwd   bool  // beacon relayed rootward
+	resultSeen  bool  // RESULT pushed to the children
+	sentPorts   []int // ports the token was offered on, each at most once
+	beaconPorts []int // ports a beacon arrived on
+	children    []int // ports whose neighbor adopted the token from here
 }
 
 // routerRun is the router phase's shared state machine: one backing array
 // of per-node records, stepped through the node index — no per-node proc
-// objects or closures.
+// objects or closures. An Engine keeps one and reuses it, with every
+// record's slices, across router runs; a run's results are read before the
+// next run starts.
 type routerRun struct {
 	nodes []routerProc
 }
@@ -106,7 +137,8 @@ type routerRun struct {
 func (r *routerRun) Step(ctx *congest.Ctx, v int) bool { return r.nodes[v].step(ctx) }
 
 // routerProc is one node's router state (a record in routerRun's backing
-// array, not an individually allocated proc).
+// array, not an individually allocated proc). A node sees at most its
+// congestion's worth of parts, so its part records stay few.
 type routerProc struct {
 	cfg    *routerConfig
 	v      int
@@ -115,21 +147,14 @@ type routerProc struct {
 	treePorts []int // sub-part tree ports (parent + children)
 	exitPorts []int // same-part ports leaving my sub-part
 
-	queues  map[int][]queued
+	queues  []portQueue // ascending port; a used port keeps its (empty) queue
+	busy    int         // queues with messages waiting
 	seq     int64
 	started bool
 	delay   int64
 
-	informedVia map[int64]int // part -> first-receipt port; -1 at the origin
-	tokenSent   map[portPart]bool
-	beaconFwd   map[int64]bool
-	beaconPorts map[int64][]int
-	pendingAcks map[int64]int
-	children    map[int64][]int
-	aggWait     map[int64]int
-	agg         map[int64]congest.Val
-	aggHas      map[int64]bool
-	aggSent     map[int64]bool
+	parts []partRec // ascending part ID
+	open  int       // informed parts not yet sealed
 
 	ownVal     congest.Val
 	complained bool
@@ -138,23 +163,17 @@ type routerProc struct {
 	result    congest.Val
 }
 
-// initRouterProc fills one routerRun record in place.
-func initRouterProc(p *routerProc, cfg *routerConfig, v int) {
+// reset refills one routerRun record in place for a new run, keeping the
+// capacity of every slice it owns.
+func (p *routerProc) reset(cfg *routerConfig, v int) {
 	*p = routerProc{
-		cfg:         cfg,
-		v:           v,
-		myPart:      cfg.in.LeaderID[v],
-		queues:      make(map[int][]queued),
-		informedVia: make(map[int64]int),
-		tokenSent:   make(map[portPart]bool),
-		beaconFwd:   make(map[int64]bool),
-		beaconPorts: make(map[int64][]int),
-		pendingAcks: make(map[int64]int),
-		children:    make(map[int64][]int),
-		aggWait:     make(map[int64]int),
-		agg:         make(map[int64]congest.Val),
-		aggHas:      make(map[int64]bool),
-		aggSent:     make(map[int64]bool),
+		cfg:       cfg,
+		v:         v,
+		myPart:    cfg.in.LeaderID[v],
+		treePorts: p.treePorts[:0],
+		exitPorts: p.exitPorts[:0],
+		queues:    p.queues[:0],
+		parts:     p.parts[:0],
 	}
 	if cfg.mode == modeSolve {
 		p.ownVal = cfg.vals[v]
@@ -174,99 +193,194 @@ func initRouterProc(p *routerProc, cfg *routerConfig, v int) {
 	p.delay = cfg.partDelay(p.myPart)
 }
 
-// enqueue schedules a message on a port with the discipline key for its part.
-func (p *routerProc) enqueue(port int, m congest.Message) {
-	pri1 := int64(0)
-	if meta, ok := p.cfg.sc.Meta[p.v][m.A]; ok {
-		pri1 = meta.RootDepth
+// insertAt grows s by one and opens slot k. The spare slot past the old
+// length (left over from an earlier run) rotates into k, so the slices it
+// owns are reused rather than shared with a neighbor.
+func insertAt[T any](s []T, k int) []T {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
 	}
-	p.queues[port] = append(p.queues[port], queued{pri1: pri1, pri2: m.A, seq: p.seq, msg: m})
+	last := len(s) - 1
+	spare := s[last]
+	copy(s[k+1:], s[k:last])
+	s[k] = spare
+	return s
+}
+
+// searchPart returns the index of part i's record, or where it belongs.
+func (p *routerProc) searchPart(i int64) (int, bool) {
+	lo, hi := 0, len(p.parts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.parts[mid].id < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(p.parts) && p.parts[lo].id == i
+}
+
+// lookup returns part i's record, or nil if the node has not seen part i.
+func (p *routerProc) lookup(i int64) *partRec {
+	if k, ok := p.searchPart(i); ok {
+		return &p.parts[k]
+	}
+	return nil
+}
+
+// record returns part i's record, creating it if needed. The pointer is
+// valid until the next record is created.
+func (p *routerProc) record(i int64) *partRec {
+	k, ok := p.searchPart(i)
+	if !ok {
+		p.parts = insertAt(p.parts, k)
+		r := &p.parts[k]
+		*r = partRec{
+			id:          i,
+			sentPorts:   r.sentPorts[:0],
+			beaconPorts: r.beaconPorts[:0],
+			children:    r.children[:0],
+		}
+	}
+	return &p.parts[k]
+}
+
+// queue returns port's queue, creating it if needed.
+func (p *routerProc) queue(port int) *portQueue {
+	lo, hi := 0, len(p.queues)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.queues[mid].port < port {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(p.queues) || p.queues[lo].port != port {
+		p.queues = insertAt(p.queues, lo)
+		q := &p.queues[lo]
+		*q = portQueue{port: port, items: q.items[:0]}
+	}
+	return &p.queues[lo]
+}
+
+// enqueue schedules a message on a port. Only the deterministic rule needs
+// the part's block-root depth.
+func (p *routerProc) enqueue(port int, m congest.Message) {
+	var pri1 int64
+	if p.cfg.det {
+		if meta, ok := p.cfg.sc.Meta[p.v][m.A]; ok {
+			pri1 = meta.RootDepth
+		}
+	}
+	q := p.queue(port)
+	if q.head == len(q.items) {
+		p.busy++
+	}
+	q.items = append(q.items, queued{pri1: pri1, seq: p.seq, msg: m})
 	p.seq++
 }
 
-// flush sends at most one queued message per port, picking by discipline,
-// and reports whether any queue still has work.
+// flush sends at most one queued message per port, in ascending port order,
+// picking FIFO (randomized) or by lessKey (deterministic), and reports
+// whether any queue still has work. A port that cannot send keeps its queue.
 func (p *routerProc) flush(ctx *congest.Ctx) bool {
-	pending := false
-	ports := make([]int, 0, len(p.queues))
-	for port := range p.queues {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports) // deterministic iteration
-	for _, port := range ports {
-		q := p.queues[port]
-		if len(q) == 0 {
+	left := p.busy
+	for k := 0; left > 0; k++ {
+		q := &p.queues[k]
+		if q.head == len(q.items) {
 			continue
 		}
-		if ctx.CanSend(port) {
-			best := 0
-			if p.cfg.det {
-				for i := 1; i < len(q); i++ {
-					if lessKey(q[i], q[best]) {
-						best = i
-					}
+		left--
+		if !ctx.CanSend(q.port) {
+			continue
+		}
+		if p.cfg.det {
+			// Keys are unique (seq), so the pick does not depend on the
+			// order of the rest: swap the best to the head and pop it.
+			best := q.head
+			for j := q.head + 1; j < len(q.items); j++ {
+				if lessKey(q.items[j], q.items[best]) {
+					best = j
 				}
 			}
-			ctx.Send(port, q[best].msg)
-			p.queues[port] = append(q[:best], q[best+1:]...)
+			q.items[q.head], q.items[best] = q.items[best], q.items[q.head]
 		}
-		if len(p.queues[port]) > 0 {
-			pending = true
+		ctx.Send(q.port, q.items[q.head].msg)
+		q.head++
+		if q.head == len(q.items) {
+			q.head, q.items = 0, q.items[:0]
+			p.busy--
 		}
 	}
-	return pending
+	return p.busy > 0
 }
 
+// lessKey is Lemma 4.2's deterministic order: shallowest block root, then
+// part ID, then arrival.
 func lessKey(a, b queued) bool {
 	if a.pri1 != b.pri1 {
 		return a.pri1 < b.pri1
 	}
-	if a.pri2 != b.pri2 {
-		return a.pri2 < b.pri2
+	if a.msg.A != b.msg.A {
+		return a.msg.A < b.msg.A
 	}
 	return a.seq < b.seq
 }
 
-// sendToken offers part i's token on port q at most once.
-func (p *routerProc) sendToken(i int64, q int) {
-	key := portPart{port: q, part: i}
-	if p.tokenSent[key] {
-		return
+// sendToken offers part r.id's token on port q at most once.
+func (p *routerProc) sendToken(r *partRec, q int) {
+	for _, s := range r.sentPorts {
+		if s == q {
+			return
+		}
 	}
-	p.tokenSent[key] = true
-	p.pendingAcks[i]++
-	p.enqueue(q, congest.Message{Kind: kToken, A: i})
+	r.sentPorts = append(r.sentPorts, q)
+	r.pendingAcks++
+	p.enqueue(q, congest.Message{Kind: kToken, A: r.id})
 }
 
-// spread performs the forwarding a node owes after adopting part i's token:
-// members flood their sub-part tree and exit edges (Algorithm 1 lines
-// 13-18); nodes on part i's block relay rootward and serve beacon paths.
-func (p *routerProc) spread(i int64, via int) {
+// spread performs the forwarding a node owes after adopting part r.id's
+// token: members flood their sub-part tree and exit edges (Algorithm 1
+// lines 13-18); nodes on the part's block relay rootward and serve beacon
+// paths.
+func (p *routerProc) spread(r *partRec, via int) {
 	cfg := p.cfg
+	i := r.id
 	if i == p.myPart {
 		for _, q := range p.treePorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(r, q)
 			}
 		}
 		for _, q := range p.exitPorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(r, q)
 			}
 		}
 	}
 	if cfg.sc.OnBlock(p.v, i) {
 		if cfg.sc.HasUp(p.v, i) {
 			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 && pp != via {
-				p.sendToken(i, pp)
+				p.sendToken(r, pp)
 			}
 		}
-		for _, q := range p.beaconPorts[i] {
+		for _, q := range r.beaconPorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(r, q)
 			}
 		}
 	}
+}
+
+// adopt marks part r.id informed via port via (-1 at the origin).
+func (p *routerProc) adopt(r *partRec, via int) {
+	r.informed, r.via = true, via
+	p.open++
 }
 
 // startActions fires once the part's delay expires: the leader originates
@@ -274,14 +388,16 @@ func (p *routerProc) spread(i int64, via int) {
 func (p *routerProc) startActions() {
 	cfg := p.cfg
 	if cfg.in.IsLeader[p.v] {
-		p.informedVia[p.myPart] = -1
-		p.spread(p.myPart, -1)
+		r := p.record(p.myPart)
+		p.adopt(r, -1)
+		p.spread(r, -1)
 	}
-	if cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] &&
-		cfg.sc.HasUp(p.v, p.myPart) && !p.beaconFwd[p.myPart] {
-		if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
-			p.beaconFwd[p.myPart] = true
-			p.enqueue(pp, congest.Message{Kind: kBeacon, A: p.myPart})
+	if cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] && cfg.sc.HasUp(p.v, p.myPart) {
+		if r := p.lookup(p.myPart); r == nil || !r.beaconFwd {
+			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
+				p.record(p.myPart).beaconFwd = true
+				p.enqueue(pp, congest.Message{Kind: kBeacon, A: p.myPart})
+			}
 		}
 	}
 }
@@ -289,101 +405,104 @@ func (p *routerProc) startActions() {
 func (p *routerProc) handle(in congest.Incoming) {
 	cfg := p.cfg
 	i := in.Msg.A
+	if in.Msg.Kind == kComplain {
+		// A same-part neighbor did not receive the token (verify mode):
+		// record the complaint in this node's contributed bit.
+		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
+		return
+	}
+	r := p.record(i)
 	switch in.Msg.Kind {
 	case kToken:
-		if _, ok := p.informedVia[i]; ok {
+		if r.informed {
 			p.enqueue(in.Port, congest.Message{Kind: kAckDecline, A: i})
 			return
 		}
-		p.informedVia[i] = in.Port
+		p.adopt(r, in.Port)
 		p.enqueue(in.Port, congest.Message{Kind: kAckAdopt, A: i})
-		p.spread(i, in.Port)
+		p.spread(r, in.Port)
 	case kBeacon:
 		known := false
-		for _, q := range p.beaconPorts[i] {
+		for _, q := range r.beaconPorts {
 			if q == in.Port {
 				known = true
 			}
 		}
 		if !known {
-			p.beaconPorts[i] = append(p.beaconPorts[i], in.Port)
+			r.beaconPorts = append(r.beaconPorts, in.Port)
 		}
 		// Serve the beacon now if the token already passed through and the
 		// aggregate has not been sealed (a post-seal adoption would orphan
 		// the new child's aggregate; such terminals are reached by the
 		// intra-part flood instead).
-		if _, ok := p.informedVia[i]; ok && !p.aggSent[i] {
-			p.sendToken(i, in.Port)
+		if r.informed && !r.aggSent {
+			p.sendToken(r, in.Port)
 		}
-		if cfg.sc.HasUp(p.v, i) && !p.beaconFwd[i] {
+		if cfg.sc.HasUp(p.v, i) && !r.beaconFwd {
 			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
-				p.beaconFwd[i] = true
+				r.beaconFwd = true
 				p.enqueue(pp, congest.Message{Kind: kBeacon, A: i})
 			}
 		}
 	case kAckAdopt:
-		p.pendingAcks[i]--
-		p.children[i] = append(p.children[i], in.Port)
-		p.aggWait[i]++
+		r.pendingAcks--
+		r.children = append(r.children, in.Port)
+		r.aggWait++
 	case kAckDecline:
-		p.pendingAcks[i]--
+		r.pendingAcks--
 	case kAgg:
 		val := congest.Val{A: in.Msg.B, B: in.Msg.C}
-		if p.aggHas[i] {
-			p.agg[i] = cfg.f(p.agg[i], val)
+		if r.aggHas {
+			r.agg = cfg.f(r.agg, val)
 		} else {
-			p.agg[i] = val
-			p.aggHas[i] = true
+			r.agg, r.aggHas = val, true
 		}
-		p.aggWait[i]--
+		r.aggWait--
 	case kAggEmpty:
-		p.aggWait[i]--
+		r.aggWait--
 	case kResult:
-		if p.forwardResult(i, congest.Val{A: in.Msg.B, B: in.Msg.C}) && i == p.myPart {
+		if p.forwardResult(r, congest.Val{A: in.Msg.B, B: in.Msg.C}) && i == p.myPart {
 			p.gotResult = true
 			p.result = congest.Val{A: in.Msg.B, B: in.Msg.C}
 		}
-	case kComplain:
-		// A same-part neighbor did not receive the token (verify mode):
-		// record the complaint in this node's contributed bit.
-		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
 	}
 }
 
 // forwardResult pushes a result down the adopted subtree once; reports
 // whether this was the first receipt.
-func (p *routerProc) forwardResult(i int64, val congest.Val) bool {
-	key := portPart{port: -1, part: -i - 1} // sentinel: result-seen marker
-	if p.tokenSent[key] {
+func (p *routerProc) forwardResult(r *partRec, val congest.Val) bool {
+	if r.resultSeen {
 		return false
 	}
-	p.tokenSent[key] = true
-	for _, q := range p.children[i] {
-		p.enqueue(q, congest.Message{Kind: kResult, A: i, B: val.A, C: val.B})
+	r.resultSeen = true
+	for _, q := range r.children {
+		p.enqueue(q, congest.Message{Kind: kResult, A: r.id, B: val.A, C: val.B})
 	}
 	return true
 }
 
-// tryComplete seals aggregates whose subtrees have fully reported: interior
-// nodes send AGG up their adoption port; the origin (leader) computes the
-// final value and starts the RESULT broadcast.
+// tryComplete seals aggregates whose subtrees have fully reported, in
+// ascending part ID: interior nodes send AGG up their adoption port; the
+// origin (leader) computes the final value and starts the RESULT broadcast.
+// It costs nothing while no part is open.
 func (p *routerProc) tryComplete(round int64) {
 	cfg := p.cfg
-	parts := make([]int64, 0, len(p.informedVia))
-	for i := range p.informedVia {
-		parts = append(parts, i)
-	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a] < parts[b] })
-	for _, i := range parts {
-		via := p.informedVia[i]
-		if p.aggSent[i] || p.pendingAcks[i] != 0 || p.aggWait[i] != 0 {
+	left := p.open
+	for k := 0; left > 0; k++ {
+		r := &p.parts[k]
+		if !r.informed || r.aggSent {
 			continue
 		}
+		left--
+		if r.pendingAcks != 0 || r.aggWait != 0 {
+			continue
+		}
+		i := r.id
 		if i == p.myPart && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
 			continue // complaints may still be en route
 		}
-		total := p.agg[i]
-		has := p.aggHas[i]
+		total := r.agg
+		has := r.aggHas
 		if i == p.myPart {
 			if has {
 				total = cfg.f(total, p.ownVal)
@@ -392,18 +511,19 @@ func (p *routerProc) tryComplete(round int64) {
 				has = true
 			}
 		}
-		p.aggSent[i] = true
-		if via >= 0 {
+		r.aggSent = true
+		p.open--
+		if r.via >= 0 {
 			if has {
-				p.enqueue(via, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
+				p.enqueue(r.via, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
 			} else {
-				p.enqueue(via, congest.Message{Kind: kAggEmpty, A: i})
+				p.enqueue(r.via, congest.Message{Kind: kAggEmpty, A: i})
 			}
 		} else {
 			// Origin: total = f(P_i); distribute it.
 			p.gotResult = true
 			p.result = total
-			p.forwardResult(i, total)
+			p.forwardResult(r, total)
 		}
 	}
 }
@@ -421,7 +541,7 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 	})
 	if cfg.mode == modeVerify && round == cfg.verifyAt && !p.complained {
 		p.complained = true
-		if _, informed := p.informedVia[p.myPart]; !informed {
+		if r := p.lookup(p.myPart); r == nil || !r.informed {
 			for q, ok := range cfg.in.SameRow(p.v) {
 				if ok {
 					p.enqueue(q, congest.Message{Kind: kComplain, A: p.myPart})
@@ -440,14 +560,18 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 	return pending
 }
 
-// runRouter executes one router phase over the whole network and returns
-// the run (per-node records) for result extraction.
+// runRouter executes one router phase over the whole network on the
+// Engine's reused records and returns the run for result extraction, which
+// must finish before the Engine's next router run.
 func runRouter(cfg *routerConfig, name string, budget int64) (*routerRun, error) {
-	n := cfg.eng.N
-	r := &routerRun{nodes: make([]routerProc, n)}
-	for v := 0; v < n; v++ {
-		initRouterProc(&r.nodes[v], cfg, v)
+	e := cfg.eng
+	r := &e.router
+	if len(r.nodes) != e.N {
+		r.nodes = make([]routerProc, e.N)
 	}
-	_, err := cfg.eng.Net.RunNodes(name, r, budget)
+	for v := range r.nodes {
+		r.nodes[v].reset(cfg, v)
+	}
+	_, err := e.Net.RunNodes(name, r, budget)
 	return r, err
 }

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"shortcutpa/internal/congest"
@@ -110,17 +111,27 @@ func (s *Shortcut) UpParts(v int) []int64 {
 // messages.
 func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
 	n := net.N()
-	sp := &setupProc{s: s, queues: make([]map[int][]congest.Message, n)}
+	sp := &setupProc{s: s, queues: make([][]setupQueue, n), busy: make([]int, n)}
 	_, err := net.RunNodes("shortcut/setup", sp, maxRounds)
 	return err
 }
 
-// setupProc drives the block-setup pass: a per-(node, port) FIFO queue of
+// setupProc drives the block-setup pass: per-(node, port) FIFO queues of
 // pending setup messages, one send per port per round. Shared across nodes;
-// queues[v] is node v's per-port queue map, created lazily at round 0.
+// queues[v] is node v's queues in ascending port order and busy[v] counts
+// those with messages waiting.
 type setupProc struct {
 	s      *Shortcut
-	queues []map[int][]congest.Message
+	queues [][]setupQueue
+	busy   []int
+}
+
+// setupQueue is one port's FIFO: items[head:] wait, and a pop advances head
+// instead of shifting the slice.
+type setupQueue struct {
+	port  int
+	head  int
+	items []congest.Message
 }
 
 // Step implements congest.NodeProc.
@@ -130,7 +141,6 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 		// Block roots (on the block, no up-claim) start the downward pass;
 		// block leaves (up-claim only) wait to hear from above. Parts are
 		// visited in sorted order for deterministic scheduling.
-		p.queues[v] = make(map[int][]congest.Message)
 		parts := make([]int64, 0, len(s.DownPorts[v]))
 		for i := range s.DownPorts[v] {
 			parts = append(parts, i)
@@ -163,33 +173,41 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 }
 
 func (p *setupProc) enqueue(v, port int, m congest.Message) {
-	p.queues[v][port] = append(p.queues[v][port], m)
+	qs := p.queues[v]
+	k := sort.Search(len(qs), func(k int) bool { return qs[k].port >= port })
+	if k == len(qs) || qs[k].port != port {
+		qs = slices.Insert(qs, k, setupQueue{port: port})
+		p.queues[v] = qs
+	}
+	q := &qs[k]
+	if q.head == len(q.items) {
+		p.busy[v]++
+	}
+	q.items = append(q.items, m)
 }
 
-// flush sends one queued message per port (ports in sorted order for
+// flush sends one queued message per port (ascending port order for
 // determinism) and reports whether work remains.
 func (p *setupProc) flush(ctx *congest.Ctx, v int) bool {
-	pending := false
-	queues := p.queues[v]
-	ports := make([]int, 0, len(queues))
-	for port := range queues {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
-		q := queues[port]
-		if len(q) == 0 {
+	qs := p.queues[v]
+	left := p.busy[v]
+	for k := 0; left > 0; k++ {
+		q := &qs[k]
+		if q.head == len(q.items) {
 			continue
 		}
-		if ctx.CanSend(port) {
-			ctx.Send(port, q[0])
-			queues[port] = q[1:]
+		left--
+		if !ctx.CanSend(q.port) {
+			continue
 		}
-		if len(queues[port]) > 0 {
-			pending = true
+		ctx.Send(q.port, q.items[q.head])
+		q.head++
+		if q.head == len(q.items) {
+			q.head, q.items = 0, q.items[:0]
+			p.busy[v]--
 		}
 	}
-	return pending
+	return p.busy[v] > 0
 }
 
 // Congestion returns (engine-side) the maximum number of parts on any tree
