@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full test-e2ebench fuzz-smoke bench bench-smoke bench-compare bench-allocs-check docs-check check
+.PHONY: build vet fmt-check test test-race test-race-w4 test-race-faulty test-full test-e2ebench fuzz-smoke bench bench-smoke bench-compare bench-allocs-check docs-check check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 10
+PR ?= 15
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -16,6 +16,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean: lists any file gofmt would rewrite
+# (under internal/, cmd/, e2ebench/ and the repo root) and fails if there is
+# one. Part of `make check`.
+fmt-check:
+	@out=$$(gofmt -l internal cmd e2ebench *.go); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi; \
+	echo "fmt-check: all Go files gofmt-clean"
 
 # Fast suite: every package, seconds of wall clock.
 test:
@@ -83,9 +91,10 @@ bench-smoke:
 # back to naming the raw snapshots when jq/benchstat are unavailable.
 # Snapshot ledger note: there is deliberately no BENCH_8.json — PR 8 was
 # robustness-only (fault injection) and changed no perf surface, so the
-# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10.
-BENCH_OLD ?= BENCH_9.json
-BENCH_NEW ?= BENCH_10.json
+# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10 -> BENCH_15 (no engine
+# snapshot was taken between the last two).
+BENCH_OLD ?= BENCH_10.json
+BENCH_NEW ?= BENCH_15.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -139,7 +148,7 @@ bench-compare:
 			|| echo "    (no bytes/slot metric in this snapshot — pre-PR-9 layout: 120 B of Incoming arrays + 16 B of int64 stamps per slot)"; \
 	done; \
 	echo ""; \
-	echo "sparse-activity rounds (BenchmarkEngineSparse; ns/round under frontier drain vs the forced dense scan, at the row's awake fraction):"; \
+	echo "sparse-activity rounds (BenchmarkEngineSparse; ns/round at the row's awake fraction — BENCH_10 rows carry mode=sparse/dense, where mode=dense forced a full-range scan that no longer exists; later rows are the one bitmap-scheduled loop):"; \
 	for f in $(BENCH_OLD) $(BENCH_NEW); do \
 		echo "  $$f:"; \
 		jq -r '.raw[]' $$f | grep -E 'BenchmarkEngineSparse/' \
@@ -157,9 +166,9 @@ bench-compare:
 # flake the gate; a layout or setup regression blows straight past them.
 # The BenchmarkEngineSparse rows extend the gate to sparse execution: a
 # whole multi-thousand-round sequential phase is pinned at literally 0
-# allocs/op (frontier drain, dirty merge, and overflow fallback all run in
-# preallocated state), and the parallel rows stay within the same pool
-# overhead as the dense storm (29 measured, 40 ceiling).
+# allocs/op (the bitmap drain and the dirty merge run in preallocated
+# state), and the parallel rows stay within the same pool overhead as the
+# dense storm (29 measured, 40 ceiling).
 # BenchmarkRouterSolve extends the gate to the Algorithm 1 router: one
 # core/solve run on reused per-node records, 4 allocs/op measured at
 # 200 iterations (5 ceiling). The map-based router it replaced made
@@ -211,4 +220,4 @@ docs-check:
 	[ $$fail -eq 0 ] && echo "docs-check: all packages carry doc.go package comments"; \
 	exit $$fail
 
-check: build vet docs-check test-race test-e2ebench
+check: build vet fmt-check docs-check test-race test-e2ebench

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,7 +19,7 @@ import (
 // (SetWorkers still overrides per network). Results are bit-identical at
 // any setting, so the knob only changes which engine executes; the
 // race-short CI matrix uses it to drive the whole suite through the
-// parallel engine's pool and sharded wake scan.
+// parallel engine's pool and dirty-list merge.
 var envWorkers = sync.OnceValue(func() int {
 	k, err := strconv.Atoi(os.Getenv("CONGEST_WORKERS"))
 	if err != nil || k < 0 {
@@ -104,9 +103,8 @@ type Network struct {
 	workers      int
 	plan         *shardPlan // cached edge-balanced shard boundaries (shard.go); nil until first parallel wave, dropped by SetWorkers/Reset
 	running      bool       // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
-	denseOnly    bool       // SetSparseRounds(false): every round takes the dense full-range path
 	stepped      int64      // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
-	sparseRounds int64      // rounds drained from the frontier lists rather than the full node range
+	engineRounds int64      // rounds the engine executed since construction/ResetMetrics
 	clock        int64      // global round counter across phases; stamps never repeat
 	epoch        int64      // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
 	scenario     *Scenario  // attached fault scenario (scenario.go); nil = fault-free
@@ -127,9 +125,11 @@ func NewNetwork(g *graph.Graph, seed int64) *Network {
 // NewNetworkWorkers is NewNetwork with an explicit engine parallelism,
 // applied both to construction (the O(m) slot-geometry fill shards across
 // a worker pool when workers > 1) and, like SetWorkers, to every
-// subsequent phase. The built network is bit-identical at any setting.
+// subsequent phase, with SetWorkers' clamp: a negative count means 0. The
+// built network is bit-identical at any setting.
 func NewNetworkWorkers(g *graph.Graph, seed int64, workers int) *Network {
 	n := g.N()
+	workers = max(workers, 0)
 	net := &Network{
 		g:        g,
 		csr:      g.CSR(),
@@ -285,33 +285,14 @@ func (n *Network) SetWorkers(k int) {
 	n.workers = k
 }
 
-// SetSparseRounds toggles sparse-activity round execution (default on):
-// when on, a round whose frontier — the nodes active last round plus the
-// nodes woken by a delivery — fit under the engine's frontier caps is
-// drained from per-shard frontier lists in ascending node order instead of
-// scanning the whole node range, so quiet rounds cost O(awake + delivered)
-// rather than O(n + slots). Off forces the classic dense scan every round.
-//
-// The setting affects wall-clock time only: the stepped-node set, its
-// order, every PRNG stream, and all metrics are bit-identical either way
-// (the equivalence harness pins this). Exists for benchmarks and the
-// dense-vs-sparse equivalence leg; production callers leave it on. Like
-// SetWorkers, the setting is latched when a phase starts, and calling it
-// while a phase is running panics.
-func (n *Network) SetSparseRounds(on bool) {
-	if n.running {
-		panic("congest: SetSparseRounds called while a phase is running")
-	}
-	n.denseOnly = !on
-}
-
 // ActivityStats reports the execution-activity counters accumulated since
 // construction or the last ResetMetrics: how many node Steps ran in total
-// (the mean awake fraction is stepped / (n * Total().Rounds)) and how many
-// rounds were drained from the frontier lists instead of the full node
-// range. Purely observational — the counters never influence execution.
-func (n *Network) ActivityStats() (stepped, sparseRounds int64) {
-	return n.stepped, n.sparseRounds
+// (the mean awake fraction is stepped / (n * rounds)) and how many rounds
+// the engine executed. Merged auxiliary costs (MergeCosts) count in Total
+// but not here. Purely observational — the counters never influence
+// execution.
+func (n *Network) ActivityStats() (stepped, rounds int64) {
+	return n.stepped, n.engineRounds
 }
 
 // Total returns the cost accumulated over all phases run so far.
@@ -334,7 +315,7 @@ func (n *Network) Phases() []Phase {
 func (n *Network) ResetMetrics() {
 	n.total = Metrics{}
 	n.stepped = 0
-	n.sparseRounds = 0
+	n.engineRounds = 0
 	clear(n.phases)
 	n.phases = n.phases[:0]
 }
@@ -369,10 +350,11 @@ func (n *Network) ResetMetrics() {
 //     absolute clock (Ctx.Round is phase-relative), so a fresh network and
 //     a reset one are indistinguishable from inside a Step.
 //
-// The engine's per-node scheduling flags need no attention: a phase's first
-// round steps every node and rewrites active[], and the wake stamps are
-// round-tagged, so a monotone clock makes stale entries inert
-// even after a phase aborted on BudgetExceededError.
+// The engine's scheduling state needs no attention: every phase starts by
+// emptying the next-round bitmap and filling the current one (its first
+// round steps every node), and the wake stamps are round-tagged, so a
+// monotone clock makes stale entries inert even after a phase aborted on
+// BudgetExceededError.
 //
 // Reset must not be called while a phase is running (it panics), and it
 // does not change the SetWorkers setting: engine parallelism is the
@@ -482,32 +464,26 @@ type engineBuffers struct {
 	curStamp  []int32
 	nextStamp []int32
 	// wake*[v] stamps the last epoch-relative round in which some sender
-	// targeted v; the scheduler's "has incoming messages" test is
-	// wakeCur[v] == snow-1.
+	// targeted v: ForRecv's early-out is wakeCur[v] != snow-1, and the
+	// wakeNext stamp deduplicates a receiver's schedule mark.
 	wakeCur  []int32
 	wakeNext []int32
-	active   []bool
-	slots    int
-	// Frontier lists (sparse-activity round execution): two double-buffered
-	// node-index lists per round — the nodes whose last Step returned active
-	// (front*) and the nodes woken by a delivery (woke*). A round whose
-	// frontier fit under frontierCap is drained from these lists in ascending
-	// node order instead of scanning the full node range, making round cost
-	// O(awake), not O(n); dense rounds keep building them so the engine can
-	// drop back to sparse the moment activity does. Like every other engine
-	// buffer: allocation only, no init (lengths live in the run state and
-	// start at 0), reused by every phase.
-	frontA, frontB []int32
-	wokeA, wokeB   []int32
+	// The scheduled-node bitmaps (sched.go): schedCur is drained this
+	// round, schedNext is marked by this round's active Steps and
+	// deliveries. They flip with the delivery buffers; flip empties the
+	// drained one first, so both are empty between phases except after an
+	// aborted one, which newRunState cleans up.
+	schedCur, schedNext schedSet
+	slots               int
 	// dirty is the parallel engine's sender-side delivery tracking: during
 	// the step wave each worker appends the receiver of every slot write to
-	// its own segment (segmented by the shard's half-edge span, so capacity
-	// can never be exceeded — a worker sends at most its span). The
-	// coordinator merges the segments into next round's woken lists, making
-	// wake derivation O(delivered) instead of the O(slots) scan wave.
-	// Lazily allocated by the first parallel phase (ensurePool): sequential
-	// networks never pay its 4 B/slot. Published by an atomic flag so
-	// MemFootprint stays callable while a phase is stepping.
+	// its own segment (segmented by the shard's half-edge span, which a
+	// worker's sends can never exceed). The coordinator merges the segments
+	// into next round's wake stamps and schedule (mergeDirty) in
+	// O(delivered). Lazily allocated by the first parallel phase
+	// (ensurePool): sequential networks never pay its 4 B/slot. Published by
+	// an atomic flag so MemFootprint stays callable while a phase is
+	// stepping.
 	dirtyReady atomic.Bool
 	dirty      []int32
 }
@@ -524,12 +500,9 @@ func newEngineBuffers(n *Network) *engineBuffers {
 		nextStamp: make([]int32, slots),
 		wakeCur:   make([]int32, nodes),
 		wakeNext:  make([]int32, nodes),
-		active:    make([]bool, nodes),
+		schedCur:  newSchedSet(nodes),
+		schedNext: newSchedSet(nodes),
 		slots:     slots,
-		frontA:    make([]int32, nodes),
-		frontB:    make([]int32, nodes),
-		wokeA:     make([]int32, nodes),
-		wokeB:     make([]int32, nodes),
 	}
 }
 
@@ -544,61 +517,17 @@ type runState struct {
 	base        int64 // network clock at phase start; the protocol-visible round is round-base
 	round       int64 // global round number, monotone across phases
 	snow        int32 // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
-	started     bool
 	inFlight    int64
 	activeCount int64       // nodes whose last Step returned active (summed per shard)
 	workers     int         // goroutines stepping nodes; <= 1 means sequential
 	fault       *faultState // the network's compiled scenario at phase start; nil = fault-free
 	pool        *pool       // persistent worker pool; nil until first parallel step
 	stepJob     job         // hoisted step-wave closure (no per-round allocation)
-	scanJob     job         // hoisted wake-scan-wave closure
 	stepBounds  []int32     // sender-weighted edge-balanced shard boundaries (shard.go)
-	slotBounds  []int32     // receiver-slot-weighted boundaries for the wake scan
 	shardCtxs   []*shardCtx // per-worker Ctx + send counter, built once per parallel phase (ensurePool)
 	seqSent     int64       // the sequential engine's per-round message counter (hoisted: a per-round local escapes through the Ctx)
 	seqCtx      Ctx         // the sequential engine's one Ctx, reused every round of the phase
-
-	// Sparse-activity execution state (see frontierCap for the policy).
-	// dense is latched per round: the phase's first round always scans the
-	// full range (round == base steps everyone), and any round whose
-	// frontier recording overflowed its caps forces the next round dense.
-	dense     bool // this round drains the full node range
-	denseOnly bool // network knob (SetSparseRounds(false)): never drain sparse
-	seqCap    int  // the sequential engine's frontier-segment capacity, frontierCap(n)
-	// The frontier lists for this round (cur: drained this round) and the
-	// next (next: appended this round), swapped at flip like the delivery
-	// buffers. facts hold active nodes — appended in ascending order by the
-	// step loops, inherently duplicate-free; fwokes hold woken nodes —
-	// deduplicated against the wakeNext stamp at append time (so no new
-	// stamp surface exists for renormStamps to rebase), sorted at drain
-	// time. The parallel engine segments the same arrays by stepBounds;
-	// segment lengths live in the shardCtxs, the sequential lengths below.
-	factCur, factNext   []int32
-	fwokeCur, fwokeNext []int32
-	nActCur, nActNext   int32 // sequential list lengths (appended entries, capped at seqCap)
-	nWokeCur, nWokeNext int32 // nWokeNext counts all woken nodes; entries beyond seqCap are dropped (overflow)
 	*engineBuffers
-}
-
-// frontierCap bounds how many frontier entries a segment over m items (a
-// shard's nodes, or — for the dirty lists — a shard's half-edge span) may
-// record before the recording is declared overflowed and the next round
-// falls back to the dense path. The cap is what keeps the dense storm at
-// dense-scan cost: once a list fills, appends stop (one compare per event),
-// so a fully active round pays O(cap) extra work, not O(n). An eighth of
-// the segment keeps the sparse drain (which also sorts the woken list)
-// comfortably cheaper than the scan it replaces; the +16 slack stops tiny
-// shards from thrashing between modes. denseOnly zeroes every cap, which
-// makes overflow — and therefore the dense path — unconditional.
-func frontierCap(m int, denseOnly bool) int {
-	if denseOnly {
-		return 0
-	}
-	c := m/8 + 16
-	if c > m {
-		c = m
-	}
-	return c
 }
 
 // stampRenormThreshold is the epoch-relative round at which the engine
@@ -619,11 +548,11 @@ var stampRenormThreshold = int32(math.MaxInt32 - 8)
 // stamps were already unable to match any future round, and stay so.
 // O(n + 2m), amortized over ~2^31 rounds: free.
 //
-// The sparse-execution state deliberately adds no stamp surface here: the
-// frontier and dirty lists hold node indices, not stamps, and the woken
-// dedup test compares against wakeNext — already rebased below — so a
-// renormalization boundary falling between a sparse append and its drain
-// changes nothing (renorm_test.go crosses it in both modes).
+// The scheduler deliberately adds no stamp surface here: the bitmaps and
+// dirty lists hold node indices, not stamps, and the mark dedup test
+// compares against wakeNext — already rebased below — so a renormalization
+// boundary falling between a mark and its drain changes nothing
+// (sparse_test.go crosses it on both engines).
 func (st *runState) renormStamps() {
 	delta := st.snow - clockBase
 	if delta <= 0 {
@@ -674,187 +603,67 @@ func newRunState(n *Network, p NodeProc) *runState {
 		snow:          int32(n.clock - n.epoch),
 		workers:       workers,
 		fault:         n.fault,
-		dense:         true, // a phase's first round steps every node, so it is dense by definition
-		denseOnly:     n.denseOnly,
-		seqCap:        frontierCap(nn, n.denseOnly),
-		factCur:       n.buf.frontA,
-		factNext:      n.buf.frontB,
-		fwokeCur:      n.buf.wokeA,
-		fwokeNext:     n.buf.wokeB,
 		engineBuffers: n.buf,
 	}
 	st.seqCtx = Ctx{st: st, sent: &st.seqSent}
+	// An aborted phase can leave marks behind in schedNext; the first round
+	// steps every node.
+	st.schedNext.reset()
+	st.schedCur.fill(nn)
 	return st
 }
 
-// stepRange steps the scheduled nodes of [lo, hi) through the phase's state
-// machine — the dense inner loop of the sequential engine (full range) and
-// each parallel worker (its shard). It returns how many stepped nodes came
-// back active, which is the range's total active count: a node left
-// unstepped is never active (an active node is always scheduled, so its
-// flag is rewritten every round — crashed nodes are the one exception, and
-// their stale flags sit behind the crash check in the faulty loop), plus
-// how many nodes it stepped at all (the awake% observability counter).
-//
-// Each active node is also appended, in ascending order, to actNext — the
-// next round's active-frontier list. actNext's length is the frontier cap:
-// appends past it are dropped (active keeps counting), and the caller
-// detects the overflow as active > len(actNext) and forces the next round
-// dense, so a dropped entry is never a lost node.
-func (st *runState) stepRange(ctx *Ctx, lo, hi int, actNext []int32) (active, stepped int64) {
-	if f := st.fault; f != nil {
-		return st.stepRangeFaulty(ctx, lo, hi, actNext, f)
-	}
-	for v := lo; v < hi; v++ {
-		if st.scheduled(v) {
-			ctx.v = v
-			stepped++
-			if st.active[v] = st.proc.Step(ctx, v); st.active[v] {
-				if active < int64(len(actNext)) {
-					actNext[active] = int32(v)
-				}
-				active++
-			}
-		}
-	}
-	return active, stepped
-}
-
-// stepFrontier is the sparse counterpart of stepRange: instead of scanning
-// [lo, hi) and testing scheduled(v) per node, it drains the round's
-// frontier — act (the nodes whose last Step returned active, inherently
-// sorted and duplicate-free) merged with woke (the nodes woken by a
-// delivery, sorted by the caller, duplicate-free by the wakeNext-stamp
-// dedup at append time) — stepping each node exactly once in ascending
-// node order. The stepped set equals {v in [lo, hi) : scheduled(v)}: act
-// reproduces the active[v] disjunct and woke the wakeCur[v] == snow-1
-// disjunct (the stamp is written iff the node is appended), and the
-// round == base disjunct never reaches here (a phase's first round is
-// dense by construction). Identical order, identical per-node work,
-// identical PRNG streams — bit-identical to the dense scan, minus the
-// O(range) walk.
-//
-// Crashed nodes are skipped exactly as the dense loop skips them; since a
-// skipped node is never re-appended, a crash also evicts the node from
-// every future frontier. Active appends follow stepRange's cap contract.
-func (st *runState) stepFrontier(ctx *Ctx, act, woke, actNext []int32) (active, stepped int64) {
-	f := st.fault
-	ia, iw := 0, 0
-	for ia < len(act) || iw < len(woke) {
-		var v int
-		switch {
-		case iw >= len(woke):
-			v = int(act[ia])
-			ia++
-		case ia >= len(act):
-			v = int(woke[iw])
-			iw++
-		case act[ia] < woke[iw]:
-			v = int(act[ia])
-			ia++
-		case woke[iw] < act[ia]:
-			v = int(woke[iw])
-			iw++
-		default: // same node on both lists: step once, advance both
-			v = int(act[ia])
-			ia++
-			iw++
-		}
-		if f != nil && f.crashed[v] {
-			continue
-		}
-		ctx.v = v
-		stepped++
-		a := st.proc.Step(ctx, v)
-		st.active[v] = a
-		if a {
-			if active < int64(len(actNext)) {
-				actNext[active] = int32(v)
-			}
-			active++
-		}
-	}
-	return active, stepped
-}
-
+// quiescent reports global quiescence: at least one round ran, nothing is
+// in flight and no node stayed active. A dead-port Send is counted in
+// inFlight without being marked, so it defers quiescence by the round the
+// model charges for it; otherwise this test and "schedNext is empty"
+// coincide, in O(1).
 func (st *runState) quiescent() bool {
-	if !st.started {
-		return false
-	}
-	if st.inFlight > 0 {
-		return false
-	}
-	// activeCount is the active-frontier mass: the step loops count every
-	// node they append to (or past the cap of) the next active list, so
-	// quiescence detection is O(1) — no serial scan of the per-node active
-	// flags. Frontier emptiness and this test coincide exactly: with
-	// inFlight == 0 nothing was sent, so the woken list is empty (even a
-	// dead-port Send that was counted-then-dropped keeps inFlight > 0 and
-	// correctly defers quiescence by the round the model charges for it),
-	// and the active list is empty iff activeCount == 0.
-	return st.activeCount == 0
-}
-
-// scheduled reports whether node v runs this round: every node at the
-// phase's first round, then active nodes and nodes with deliveries.
-func (st *runState) scheduled(v int) bool {
-	return st.active[v] || st.round == st.base || st.wakeCur[v] == st.snow-1
+	return st.round != st.base && st.inFlight == 0 && st.activeCount == 0
 }
 
 // flip ends a round: messages written this round become next round's
-// deliveries. Stale stamps in the reused buffer are at least two rounds
-// old, so they can never match a future occupancy test — no clearing.
+// deliveries, and the nodes marked this round become next round's schedule.
+// Stale stamps in the reused buffers are at least two rounds old, so they
+// can never match a future occupancy test — no clearing; the drained
+// bitmap is emptied in O(n/4096 + marked words) before it takes marks.
 func (st *runState) flip() {
 	b := st.engineBuffers
 	b.curMsg, b.nextMsg = b.nextMsg, b.curMsg
 	b.curStamp, b.nextStamp = b.nextStamp, b.curStamp
 	b.wakeCur, b.wakeNext = b.wakeNext, b.wakeCur
-	// The frontier lists flip with the delivery buffers: what was appended
-	// this round is drained next round. The lengths are swapped by the
-	// engine that owns them (runState fields sequentially, shardCtxs in
-	// parallel) right after.
-	st.factCur, st.factNext = st.factNext, st.factCur
-	st.fwokeCur, st.fwokeNext = st.fwokeNext, st.fwokeCur
+	b.schedCur.reset()
+	b.schedCur, b.schedNext = b.schedNext, b.schedCur
 }
 
 // step runs one synchronous round and returns the number of messages sent.
-// Sequential engine: one dense scan or one sparse frontier drain, with the
-// wake stamps and the woken-frontier list written inline by Send (single
-// writer). The mode for the next round falls out of this round's recording:
-// any list that overflowed its frontierCap forces dense; otherwise the
-// lists are complete and the next round drains them.
+// Both engines share it: stamp renormalization and fault application on
+// the calling goroutine, then one drain of the scheduled nodes — inline on
+// the sequential engine, whose Send writes wake stamps and schedule marks
+// directly (single writer), or as one wave over the worker pool followed by
+// the coordinator's dirty-list merge.
 func (st *runState) step() int64 {
-	if st.workers > 1 {
-		return st.stepParallel()
-	}
-	st.started = true
 	if st.snow >= stampRenormThreshold {
 		st.renormStamps()
 	}
 	st.applyFaults()
-	st.seqSent = 0
-	actNext := st.factNext[:st.seqCap]
-	var active, stepped int64
-	if st.dense {
-		active, stepped = st.stepRange(&st.seqCtx, 0, st.net.N(), actNext)
+	var active, stepped, sent int64
+	if st.workers > 1 {
+		st.ensurePool()
+		res := st.pool.wave(st.stepJob)
+		st.mergeDirty()
+		active, stepped, sent = res.active, res.stepped, res.sent
 	} else {
-		// The woken list was appended in send order; the drain needs
-		// ascending node order. slices.Sort is allocation-free, keeping
-		// steady-state rounds at zero allocs.
-		woke := st.fwokeCur[:st.nWokeCur]
-		slices.Sort(woke)
-		active, stepped = st.stepFrontier(&st.seqCtx, st.factCur[:st.nActCur], woke, actNext)
-		st.net.sparseRounds++
+		st.seqSent = 0
+		active, stepped = st.drain(&st.seqCtx, 0, st.net.N(), false)
+		sent = st.seqSent
 	}
 	st.activeCount = active
 	st.net.stepped += stepped
-	overflow := active > int64(st.seqCap) || int(st.nWokeNext) > st.seqCap
+	st.net.engineRounds++
 	st.flip()
-	st.nActCur, st.nActNext = int32(min(active, int64(st.seqCap))), 0
-	st.nWokeCur, st.nWokeNext = min(st.nWokeNext, int32(st.seqCap)), 0
-	st.dense = st.denseOnly || overflow
-	st.inFlight = st.seqSent
+	st.inFlight = sent
 	st.round++
 	st.snow++
-	return st.inFlight
+	return sent
 }

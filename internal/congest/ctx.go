@@ -14,16 +14,13 @@ type Ctx struct {
 	v    int
 	sent *int64 // messages sent through this Ctx (engine-owned counter)
 	// Sender-side dirty tracking, parallel engine only (nil selects the
-	// sequential inline-wake path in Send/Broadcast): the worker's segment
-	// of the shared dirty buffer and its entry counter. Every slot write
-	// appends its receiver here; the coordinator merges the segments into
-	// next round's woken frontier (stepParallel), so wake derivation costs
-	// O(delivered), not an O(slots) scan. The segment's length is its
-	// frontierCap: appends past it are dropped while nd keeps counting, and
-	// the coordinator reads nd > len(dirty) as overflow (fall back to the
-	// scan wave).
+	// sequential inline path in Send/Broadcast): the worker's segment of
+	// the shared dirty buffer, emptied at the start of each wave. Every
+	// slot write appends its receiver here; the coordinator merges the
+	// segments into next round's wake stamps and schedule (mergeDirty), so
+	// wake derivation costs O(delivered). The segment's capacity is the
+	// worker's half-edge span, which its sends cannot exceed.
 	dirty []int32
-	nd    *int32
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque
@@ -134,26 +131,20 @@ func (c *Ctx) Send(p int, m Message) {
 	// which at n = 10^6 was a 320 MB first-touch pass before any round ran.
 	b.nextMsg[slot] = m
 	if c.dirty == nil {
-		// Sequential engine: single writer, so the wake stamp is written
-		// inline — and it doubles as the woken-frontier dedup (first
-		// delivery to a node this round appends it, later ones see the
-		// stamp already set). The parallel engine cannot write wakeNext
-		// here (concurrent senders may share a receiver); it records the
-		// receiver in the worker's dirty segment instead and the
-		// coordinator derives the stamps after the step wave.
+		// Sequential engine: single writer, so the wake stamp and the
+		// schedule mark are written inline — the stamp doubling as the
+		// mark's dedup (first delivery to a node this round marks it, later
+		// ones see the stamp already set). The parallel engine cannot write
+		// either here (concurrent senders may share a receiver); it records
+		// the receiver in the worker's dirty segment instead and the
+		// coordinator writes both after the step wave.
 		to := csr.PortTo[h]
 		if b.wakeNext[to] != st.snow {
 			b.wakeNext[to] = st.snow
-			if k := st.nWokeNext; int(k) < st.seqCap {
-				st.fwokeNext[k] = to
-			}
-			st.nWokeNext++
+			b.schedNext.mark(to)
 		}
 	} else {
-		if k := *c.nd; int(k) < len(c.dirty) {
-			c.dirty[k] = csr.PortTo[h]
-		}
-		*c.nd++
+		c.dirty = append(c.dirty, csr.PortTo[h])
 	}
 	*c.sent++
 }
@@ -200,21 +191,13 @@ func (c *Ctx) Broadcast(m Message) {
 		}
 		b.nextStamp[slot] = snow
 		b.nextMsg[slot] = m
-		if sequential {
-			// Inline wake + woken-frontier append, as in Send.
-			to := csr.PortTo[lo+int32(i)]
-			if b.wakeNext[to] != snow {
-				b.wakeNext[to] = snow
-				if k := st.nWokeNext; int(k) < st.seqCap {
-					st.fwokeNext[k] = to
-				}
-				st.nWokeNext++
-			}
-		} else {
-			if k := *c.nd; int(k) < len(c.dirty) {
-				c.dirty[k] = csr.PortTo[lo+int32(i)]
-			}
-			*c.nd++
+		to := csr.PortTo[lo+int32(i)]
+		if !sequential {
+			c.dirty = append(c.dirty, to)
+		} else if b.wakeNext[to] != snow {
+			// Inline wake + schedule mark, as in Send.
+			b.wakeNext[to] = snow
+			b.schedNext.mark(to)
 		}
 	}
 	*c.sent += int64(hi - lo)

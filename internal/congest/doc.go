@@ -36,17 +36,17 @@
 // storage.
 //
 // Round execution is activity-proportional (README.md "Sparse-activity
-// round execution"): the engine schedules a round from frontier lists —
-// nodes that stayed active plus nodes woken by a delivery, recorded at
-// Send time — rather than scanning all n nodes and all 2m slots, so a
-// round costs O(awake + delivered). Rounds whose activity overflows the
-// frontier caps fall back to the dense full-range scan (a phase's first
-// round always runs dense), and both paths step the same nodes in the
-// same ascending order, so the mode decision is unobservable: outputs,
-// costs, PRNG streams, and fault behaviour are bit-identical either way
-// (the equivalence harness pins it). SetSparseRounds(false) forces the
-// dense path for A/B measurement; ActivityStats exposes the stepped-node
-// and sparse-round counters behind the bench sweep's awake% column.
+// round execution"): each round's scheduled nodes — every node in a
+// phase's first round, then the nodes that stayed active plus the nodes a
+// message was sent to, marked at Send time — sit in a two-level bitmap
+// (sched.go) that one drain walks in ascending node order, so a round
+// costs O(n/4096 + awake + delivered) with no sort, no capacity to
+// overflow, and no second execution path. The order is the one a
+// full-range scan would produce, so outputs, costs, PRNG streams, and
+// fault behaviour are those of the model's scheduling rule
+// (TestScheduleMatchesModel pins it). ActivityStats exposes the
+// stepped-node and engine-round counters behind the bench sweep's awake%
+// column.
 //
 // Phase execution is shared-proc (README.md "The shared-proc execution
 // model"): the paper's protocols are uniform, so a phase is one NodeProc —

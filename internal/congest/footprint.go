@@ -19,13 +19,13 @@ type MemFootprint struct {
 	// destSlot and slotPort (2 x 4 B per slot); the CSR adjacency the
 	// network aliases is counted by its owner, not here.
 	GeometryBytes int64
-	// NodeBytes is the per-node engine state: wake stamps and the active
-	// flags (9 B per node).
+	// NodeBytes is the per-node engine state: the two wake-stamp arrays
+	// (8 B per node).
 	NodeBytes int64
-	// FrontierBytes is the sparse-execution frontier state: the four
-	// double-buffered active/woken node lists (16 B per node). Per-node
-	// scheduling state, not slot memory, so it is excluded from
-	// BytesPerSlot like NodeBytes.
+	// FrontierBytes is the round scheduler's state: the two scheduled-node
+	// bitmaps, one bit per node plus one summary bit per 64-bit word each
+	// (about 0.25 B per node). Per-node scheduling state, not slot memory,
+	// so it is excluded from BytesPerSlot like NodeBytes.
 	FrontierBytes int64
 	// DirtyBytes is the parallel engine's sender-side dirty buffer
 	// (4 B/slot), lazily allocated by the first parallel phase — zero on a
@@ -58,10 +58,9 @@ func (f MemFootprint) BytesPerSlot() float64 {
 // SlotBytes is 0, so benchmarks should sample after warmup.
 func (n *Network) MemFootprint() MemFootprint {
 	const (
-		msgSize  = int64(unsafe.Sizeof(Message{}))
-		i32Size  = int64(unsafe.Sizeof(int32(0)))
-		i64Size  = int64(unsafe.Sizeof(int64(0)))
-		boolSize = int64(unsafe.Sizeof(false))
+		msgSize = int64(unsafe.Sizeof(Message{}))
+		i32Size = int64(unsafe.Sizeof(int32(0)))
+		i64Size = int64(unsafe.Sizeof(int64(0)))
 	)
 	f := MemFootprint{
 		Slots:         len(n.csr.PortTo),
@@ -75,9 +74,10 @@ func (n *Network) MemFootprint() MemFootprint {
 	}
 	f.SlotBytes = msgSize*int64(len(b.curMsg)+len(b.nextMsg)) +
 		i32Size*int64(len(b.curStamp)+len(b.nextStamp))
-	f.NodeBytes = i32Size*int64(len(b.wakeCur)+len(b.wakeNext)) +
-		boolSize*int64(len(b.active))
-	f.FrontierBytes = i32Size * int64(len(b.frontA)+len(b.frontB)+len(b.wokeA)+len(b.wokeB))
+	f.NodeBytes = i32Size * int64(len(b.wakeCur)+len(b.wakeNext))
+	for _, s := range []schedSet{b.schedCur, b.schedNext} {
+		f.FrontierBytes += i64Size * int64(len(s.words)+len(s.summary))
+	}
 	// The dirty buffer is published by an atomic flag (ensurePool); reading
 	// its length behind a Load keeps MemFootprint callable while a parallel
 	// phase is stepping.

@@ -128,8 +128,12 @@ func TestResetClearsMetricsAndPhaseHistory(t *testing.T) {
 }
 
 // TestSetWorkersClampsNegative: k < 0 is clamped to 0 (sequential), per the
-// documented contract — the job runner passes configured ints through.
+// documented contract — the job runner passes configured ints through —
+// whether it arrives through SetWorkers or NewNetworkWorkers.
 func TestSetWorkersClampsNegative(t *testing.T) {
+	if got := NewNetworkWorkers(graph.Path(4), 1, -3).Workers(); got != 0 {
+		t.Errorf("Workers() = %d after NewNetworkWorkers(..., -3), want 0", got)
+	}
 	net := NewNetwork(graph.Path(4), 1)
 	net.SetWorkers(-3)
 	if got := net.Workers(); got != 0 {
