@@ -8,7 +8,7 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 15
+PR ?= 16
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -91,10 +91,10 @@ bench-smoke:
 # back to naming the raw snapshots when jq/benchstat are unavailable.
 # Snapshot ledger note: there is deliberately no BENCH_8.json — PR 8 was
 # robustness-only (fault injection) and changed no perf surface, so the
-# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10 -> BENCH_15 (no engine
-# snapshot was taken between the last two).
-BENCH_OLD ?= BENCH_10.json
-BENCH_NEW ?= BENCH_15.json
+# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10 -> BENCH_15 -> BENCH_16 (no
+# engine snapshot was taken between BENCH_10 and BENCH_15).
+BENCH_OLD ?= BENCH_15.json
+BENCH_NEW ?= BENCH_16.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -172,10 +172,12 @@ bench-compare:
 # BenchmarkRouterSolve extends the gate to the Algorithm 1 router: one
 # core/solve run on reused per-node records, 4 allocs/op measured at
 # 200 iterations (5 ceiling). The map-based router it replaced made
-# 135,574 per run.
+# 135,574 per run. BenchmarkRouterVerify gates the Algorithm 2 verify run,
+# whose nodes park on three WakeAt timers each: 10 allocs/op measured at
+# 200 iterations (11 ceiling), the engine's reused timer heap adding none.
 bench-allocs-check:
 	@{ $(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$' -benchmem -benchtime=5x ./internal/congest/ \
-		&& $(GO) test -run='^$$' -bench='^BenchmarkRouterSolve$$' -benchmem -benchtime=200x ./internal/core/; } \
+		&& $(GO) test -run='^$$' -bench='^BenchmarkRouter(Solve|Verify)$$' -benchmem -benchtime=200x ./internal/core/; } \
 		| tee /tmp/bench_allocs.txt \
 		| awk ' \
 		/^Benchmark/ { \
@@ -186,6 +188,7 @@ bench-allocs-check:
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
 			} \
 			else if ($$1 ~ /^BenchmarkRouterSolve($$|-)/) { limit = 5; router++ } \
+			else if ($$1 ~ /^BenchmarkRouterVerify($$|-)/) { limit = 11; verify++ } \
 			else if ($$1 ~ /^BenchmarkEngine\//) { \
 				if ($$1 ~ /workers=1($$|-)/) limit = 2; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
@@ -201,6 +204,7 @@ bench-allocs-check:
 		END { \
 			if (checked == 0) { print "bench-allocs-check: no benchmark rows parsed"; exit 1 } \
 			if (router == 0) { print "bench-allocs-check: no BenchmarkRouterSolve row parsed"; exit 1 } \
+			if (verify == 0) { print "bench-allocs-check: no BenchmarkRouterVerify row parsed"; exit 1 } \
 			if (fail) exit 1; \
 			printf "bench-allocs-check: %d rows within pinned allocs/op ceilings\n", checked \
 		}'

@@ -19,6 +19,10 @@ func FuzzParseJobSpec(f *testing.F) {
 		"graphs=;seeds=--",
 		"graphs=torus:400;seeds=9-2",
 		"scenario=;graphs=a:1",
+		"graphs=torus:9;seeds=9223372036854775806-9223372036854775807",
+		"graphs=torus:9;seeds=0-9000000000000000000",
+		"graphs=torus:-5",
+		"graphs=torus:1000000000",
 	} {
 		f.Add(seed)
 	}

@@ -327,8 +327,8 @@ func (s JobSpec) Expand() ([]Job, error) {
 		if _, ok := jobFamilies[g.Family]; !ok {
 			return nil, fmt.Errorf("unknown graph family %q (have: %s)", g.Family, strings.Join(JobFamilyNames(), ", "))
 		}
-		if g.N <= 0 {
-			return nil, fmt.Errorf("graph family %q has non-positive size %d", g.Family, g.N)
+		if g.N <= 0 || g.N > maxJobGraphN {
+			return nil, fmt.Errorf("graph family %q has size %d outside [1, %d]", g.Family, g.N, maxJobGraphN)
 		}
 	}
 	seeds := s.Seeds
@@ -530,14 +530,18 @@ func digest(s string) string {
 // key=value clauses.
 //
 //	protocols=mst,domset       protocol names, or "all" (default: all)
-//	graphs=torus:400,random:120  family:targetN pairs (required)
-//	seeds=1,2,5-8              seed list with inclusive ranges (default: 1)
+//	graphs=torus:400,random:120  family:targetN pairs (required), 1 <= n <= maxJobGraphN
+//	seeds=1,2,5-8              seed list with inclusive ranges (default: 1), at most maxJobSeeds seeds
 //	scenario=crash=7@2+seed-faults=0.01  fault scenario for every run
 //
 // The scenario value is itself in the congest.ParseScenario grammar, which
 // accepts '+' as a clause separator precisely so a whole scenario fits in
 // one jobs clause without colliding with the ';' that separates jobs
 // clauses here.
+//
+// The two bounds refuse a spec up front that would otherwise run the
+// process out of memory: building a graph past maxJobGraphN, or expanding a
+// seed range like 0-9000000000000000000.
 //
 // Example: -jobs 'graphs=torus:400;protocols=mst,sssp;seeds=1-16'.
 // Pool width, engine workers, and cache capacity are flags, not spec
@@ -568,6 +572,9 @@ func ParseJobSpec(s string) (JobSpec, error) {
 				if err != nil {
 					return JobSpec{}, fmt.Errorf("graph %q: bad size: %v", item, err)
 				}
+				if n < 1 || n > maxJobGraphN {
+					return JobSpec{}, fmt.Errorf("graph %q: size must be in [1, %d]", item, maxJobGraphN)
+				}
 				spec.Graphs = append(spec.Graphs, GraphSpec{Family: fam, N: n})
 			}
 		case "seeds":
@@ -586,8 +593,17 @@ func ParseJobSpec(s string) (JobSpec, error) {
 						return JobSpec{}, fmt.Errorf("seed range %q is descending", item)
 					}
 				}
-				for v := a; v <= b; v++ {
+				// 0 <= a <= b here (a leading '-' leaves lo empty), so b-a
+				// cannot overflow; the loop stops at b instead of stepping
+				// past it, so a range ending at MaxInt64 terminates.
+				if uint64(b-a) >= uint64(maxJobSeeds-len(spec.Seeds)) {
+					return JobSpec{}, fmt.Errorf("seeds: more than %d in total", maxJobSeeds)
+				}
+				for v := a; ; v++ {
 					spec.Seeds = append(spec.Seeds, v)
+					if v == b {
+						break
+					}
 				}
 			}
 		case "scenario":
@@ -604,6 +620,13 @@ func ParseJobSpec(s string) (JobSpec, error) {
 	}
 	return spec, nil
 }
+
+// maxJobGraphN caps a job spec's graph size: 2^21 nodes, twice the
+// largest instance the sweeps build (n = 10^6).
+const maxJobGraphN = 1 << 21
+
+// maxJobSeeds caps a job spec's total seed count.
+const maxJobSeeds = 1 << 16
 
 func splitList(s string) []string {
 	parts := strings.Split(s, ",")

@@ -2,8 +2,11 @@ package bench
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +71,43 @@ func TestParseJobSpec(t *testing.T) {
 		if _, err := ParseJobSpec(bad); err == nil {
 			t.Errorf("ParseJobSpec(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestParseJobSpecBounds pins the up-front refusals that keep a hostile
+// spec from running the process out of memory or into an endless loop,
+// and the accepted inputs right at each bound.
+func TestParseJobSpecBounds(t *testing.T) {
+	for _, c := range []struct {
+		spec, err string
+	}{
+		{"graphs=torus:-5", "size must be in [1, 2097152]"},
+		{"graphs=torus:0", "size must be in [1, 2097152]"},
+		{"graphs=torus:1000000000", "size must be in [1, 2097152]"},
+		{"graphs=torus:2097153", "size must be in [1, 2097152]"},
+		// v++ past MaxInt64 used to wrap and append forever.
+		{"graphs=torus:9;seeds=9223372036854775806-9223372036854775807", ""},
+		{"graphs=torus:9;seeds=0-9000000000000000000", "more than 65536"},
+		{"graphs=torus:9;seeds=1-65537", "more than 65536"},
+		{"graphs=torus:9;seeds=1-65535,7,8", "more than 65536"},
+		{"graphs=torus:9;seeds=1-65535,7", ""},
+		{"graphs=torus:2097152", ""},
+		{"graphs=torus:1", ""},
+	} {
+		_, err := ParseJobSpec(c.spec)
+		if c.err == "" && err != nil {
+			t.Errorf("ParseJobSpec(%q) = %v, want success", c.spec, err)
+		}
+		if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("ParseJobSpec(%q) = %v, want an error containing %q", c.spec, err, c.err)
+		}
+	}
+	spec, err := ParseJobSpec("graphs=torus:9;seeds=9223372036854775806-9223372036854775807")
+	if err != nil || !slices.Equal(spec.Seeds, []int64{math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Errorf("top-of-range seeds = %v, %v", spec.Seeds, err)
+	}
+	if _, err := (JobSpec{Graphs: []GraphSpec{{Family: "torus", N: maxJobGraphN + 1}}}).Expand(); err == nil {
+		t.Error("Expand accepted a graph past maxJobGraphN")
 	}
 }
 

@@ -62,10 +62,11 @@ type Phase struct {
 
 // NodeProc is a phase's state machine shared by every node: one value whose
 // Step is invoked with the node index v whenever v is scheduled — round 0,
-// any round with incoming messages, and any round following a Step that
-// returned true (active). Returning false parks the node until a message
-// wakes it. Per-node state lives in flat protocol-owned arrays indexed by
-// v, not in the NodeProc value, so one phase costs O(1) allocations
+// any round with incoming messages, any round following a Step that
+// returned true (active), and the round a Ctx.WakeAt timer is due.
+// Returning false parks the node until a message or a timer wakes it.
+// Per-node state lives in flat protocol-owned arrays indexed by v, not in
+// the NodeProc value, so one phase costs O(1) allocations
 // regardless of n. The paper's protocols are uniform — every node runs the
 // same state machine over per-node state — so this is the engine's one
 // proc form.
@@ -351,10 +352,10 @@ func (n *Network) ResetMetrics() {
 //     a reset one are indistinguishable from inside a Step.
 //
 // The engine's scheduling state needs no attention: every phase starts by
-// emptying the next-round bitmap and filling the current one (its first
-// round steps every node), and the wake stamps are round-tagged, so a
-// monotone clock makes stale entries inert even after a phase aborted on
-// BudgetExceededError.
+// emptying the next-round bitmap and the timer heap and filling the current
+// bitmap (its first round steps every node), and the wake stamps are
+// round-tagged, so a monotone clock makes stale entries inert even after a
+// phase aborted on BudgetExceededError.
 //
 // Reset must not be called while a phase is running (it panics), and it
 // does not change the SetWorkers setting: engine parallelism is the
@@ -474,6 +475,7 @@ type engineBuffers struct {
 	// drained one first, so both are empty between phases except after an
 	// aborted one, which newRunState cleans up.
 	schedCur, schedNext schedSet
+	timers              timerHeap // pending Ctx.WakeAt timers, emptied at phase start
 	slots               int
 	// dirty is the parallel engine's sender-side delivery tracking: during
 	// the step wave each worker appends the receiver of every slot write to
@@ -606,20 +608,29 @@ func newRunState(n *Network, p NodeProc) *runState {
 		engineBuffers: n.buf,
 	}
 	st.seqCtx = Ctx{st: st, sent: &st.seqSent}
-	// An aborted phase can leave marks behind in schedNext; the first round
-	// steps every node.
+	// An aborted phase can leave marks behind in schedNext and timers in
+	// the heap; the first round steps every node.
 	st.schedNext.reset()
+	st.timers = st.timers[:0]
 	st.schedCur.fill(nn)
 	return st
 }
 
 // quiescent reports global quiescence: at least one round ran, nothing is
-// in flight and no node stayed active. A dead-port Send is counted in
-// inFlight without being marked, so it defers quiescence by the round the
-// model charges for it; otherwise this test and "schedNext is empty"
-// coincide, in O(1).
+// in flight, no node stayed active and no live node has a timer pending. A
+// dead-port Send is counted in inFlight without being marked, so it defers
+// quiescence by the round the model charges for it; otherwise this test and
+// "schedNext and the timer heap are empty" coincide.
 func (st *runState) quiescent() bool {
-	return st.round != st.base && st.inFlight == 0 && st.activeCount == 0
+	if st.round == st.base || st.inFlight != 0 || st.activeCount != 0 {
+		return false
+	}
+	// A crashed node's timers must not hold the phase open; one under a
+	// live timer is dropped once that fires.
+	for f := st.fault; f != nil && len(st.timers) > 0 && f.crashed[st.timers[0].v]; {
+		st.timers.pop()
+	}
+	return len(st.timers) == 0
 }
 
 // flip ends a round: messages written this round become next round's
@@ -637,9 +648,9 @@ func (st *runState) flip() {
 }
 
 // step runs one synchronous round and returns the number of messages sent.
-// Both engines share it: stamp renormalization and fault application on
-// the calling goroutine, then one drain of the scheduled nodes — inline on
-// the sequential engine, whose Send writes wake stamps and schedule marks
+// Both engines share it: stamp renormalization, fault application and due
+// timers on the calling goroutine, then one drain of the scheduled nodes —
+// inline on the sequential engine, whose Send writes wake stamps and schedule marks
 // directly (single writer), or as one wave over the worker pool followed by
 // the coordinator's dirty-list merge.
 func (st *runState) step() int64 {
@@ -647,6 +658,7 @@ func (st *runState) step() int64 {
 		st.renormStamps()
 	}
 	st.applyFaults()
+	st.fireTimers()
 	var active, stepped, sent int64
 	if st.workers > 1 {
 		st.ensurePool()

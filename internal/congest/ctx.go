@@ -20,7 +20,8 @@ type Ctx struct {
 	// segments into next round's wake stamps and schedule (mergeDirty), so
 	// wake derivation costs O(delivered). The segment's capacity is the
 	// worker's half-edge span, which its sends cannot exceed.
-	dirty []int32
+	dirty  []int32
+	timers []timer // parallel only: this wave's WakeAt timers, pushed by mergeDirty
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque

@@ -37,11 +37,12 @@
 //
 // Round execution is activity-proportional (README.md "Sparse-activity
 // round execution"): each round's scheduled nodes — every node in a
-// phase's first round, then the nodes that stayed active plus the nodes a
-// message was sent to, marked at Send time — sit in a two-level bitmap
-// (sched.go) that one drain walks in ascending node order, so a round
-// costs O(n/4096 + awake + delivered) with no sort, no capacity to
-// overflow, and no second execution path. The order is the one a
+// phase's first round, then the nodes that stayed active, the nodes a
+// message was sent to, marked at Send time, and the nodes whose Ctx.WakeAt
+// timer is due (timers.go) — sit in a two-level bitmap (sched.go) that one
+// drain walks in ascending node order, so a round costs O(n/4096 + awake +
+// delivered) with no sort, no capacity to overflow, and no second
+// execution path. The order is the one a
 // full-range scan would produce, so outputs, costs, PRNG streams, and
 // fault behaviour are those of the model's scheduling rule
 // (TestScheduleMatchesModel pins it). ActivityStats exposes the
@@ -88,8 +89,9 @@
 //
 // Cost accounting follows the paper's measures: Rounds is the number of
 // synchronous rounds executed until global quiescence (or the budget), and
-// Messages counts every send. Quiescence — no node active and no message in
-// flight — is detected by the engine; in the paper nodes instead run each
-// phase for a precomputed worst-case budget, so engine detection only trims
-// trailing idle rounds and never alters protocol behaviour.
+// Messages counts every send. Quiescence — no node active, no message in
+// flight and no live node's timer pending — is detected by the engine; in
+// the paper nodes instead run each phase for a precomputed worst-case
+// budget, so engine detection only trims trailing idle rounds and never
+// alters protocol behaviour.
 package congest

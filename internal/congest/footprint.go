@@ -24,8 +24,9 @@ type MemFootprint struct {
 	NodeBytes int64
 	// FrontierBytes is the round scheduler's state: the two scheduled-node
 	// bitmaps, one bit per node plus one summary bit per 64-bit word each
-	// (about 0.25 B per node). Per-node scheduling state, not slot memory,
-	// so it is excluded from BytesPerSlot like NodeBytes.
+	// (about 0.25 B per node), plus the WakeAt timer heap: 16 B per pending
+	// timer at the most ever pending at once, the capacity it keeps. Not
+	// slot memory, so it is excluded from BytesPerSlot like NodeBytes.
 	FrontierBytes int64
 	// DirtyBytes is the parallel engine's sender-side dirty buffer
 	// (4 B/slot), lazily allocated by the first parallel phase — zero on a
@@ -78,6 +79,7 @@ func (n *Network) MemFootprint() MemFootprint {
 	for _, s := range []schedSet{b.schedCur, b.schedNext} {
 		f.FrontierBytes += i64Size * int64(len(s.words)+len(s.summary))
 	}
+	f.FrontierBytes += int64(unsafe.Sizeof(timer{})) * int64(cap(b.timers))
 	// The dirty buffer is published by an atomic flag (ensurePool); reading
 	// its length behind a Load keeps MemFootprint callable while a parallel
 	// phase is stepping.

@@ -217,6 +217,7 @@ func (st *runState) stepShard(i int) (res shardDone) {
 	sc := st.shardCtxs[i]
 	sc.sent = 0
 	sc.ctx.dirty = sc.ctx.dirty[:0]
+	sc.ctx.timers = sc.ctx.timers[:0]
 	res.active, res.stepped = st.drain(&sc.ctx, int(st.stepBounds[i]), int(st.stepBounds[i+1]), true)
 	res.sent = sc.sent
 	return res
@@ -226,8 +227,9 @@ func (st *runState) stepShard(i int) (res shardDone) {
 // coordinator walks every worker's dirty segment (the receivers of this
 // round's slot writes, in send order) and, for each first-seen receiver,
 // writes the wakeNext stamp and the schedNext mark a sequential Send would
-// have written inline — deduplicated by the stamp itself. Runs between
-// waves, so it is the single writer of both; cost is O(delivered).
+// have written inline — deduplicated by the stamp itself — and pushes the
+// worker's WakeAt timers. Runs between waves, so it is the single writer of
+// all three; cost is O(delivered + timers · log pending).
 func (st *runState) mergeDirty() {
 	b := st.engineBuffers
 	snow := st.snow
@@ -237,6 +239,9 @@ func (st *runState) mergeDirty() {
 				b.wakeNext[to] = snow
 				b.schedNext.mark(to)
 			}
+		}
+		for _, t := range sc.ctx.timers {
+			b.timers.push(t)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // sched.go is the round scheduler: which nodes a round steps, and in what
 // order. A node is scheduled when the phase starts (round 0 steps every
-// node), when its last Step returned true, or when a message was sent to it
-// last round. Each round's scheduled set is a two-level bitmap; the engine
+// node), when its last Step returned true, when a message was sent to it
+// last round, or when a timer it set is due (timers.go). Each round's scheduled set is a two-level bitmap; the engine
 // keeps two (cur, drained this round; next, marked this round) and flips
 // them with the delivery buffers.
 //

@@ -283,16 +283,24 @@ func TestSparseRenormInterplay(t *testing.T) {
 // model's scheduling rule, computed from a record of what the protocol did
 // rather than from another engine path: round 0 steps every live node;
 // round r > 0 steps exactly the nodes whose Step returned true in round
-// r-1 plus the receivers of round r-1's sends on live ports, minus crashed
-// nodes. A send made while its edge was up still schedules its receiver if
-// the edge dies at the next boundary. The sequential engine must step the
-// set in ascending order; the parallel engine must step the same set.
+// r-1, plus the receivers of round r-1's sends on live ports, plus the
+// nodes whose WakeAt timer is due in round r, minus crashed nodes. A send
+// made while its edge was up still schedules its receiver if the edge dies
+// at the next boundary. The phase must end exactly when the model says: after
+// the first round in which no node returned true, no message was sent (dead
+// ports included) and no node still live held a timer. The sequential
+// engine must step the set in ascending order; the parallel engine must
+// step the same set.
 func TestScheduleMatchesModel(t *testing.T) {
 	// Every 31st node stays active and broadcasts each round. The scenario
 	// crashes a node before round 0, two of those beacons mid-run, and a
 	// path neighbor of beacon 31 the round after 31 sent to it; it drops
 	// edge 30-31 right after a beacon send crossed it, and one more edge.
 	// Both dropped edges exist in every Path and Torus of scheduleSizes.
+	// Some nodes set a timer one to three rounds ahead. Every beacon sets
+	// one in round 0 for a round past the protocol's end, beacon 31's one
+	// round after beacon 0's and 62's: once 31 has crashed, its timer must
+	// not hold the phase open.
 	crashes := map[int]int64{5: 0, 62: 4, 32: 6, 31: 7}
 	const spec = "crash=5@0,62@4,32@6,31@7;drop=1-2@2,30-31@5"
 	const rounds = 12
@@ -314,10 +322,18 @@ func TestScheduleMatchesModel(t *testing.T) {
 				}
 				// Per-node logs (each written only by the goroutine stepping
 				// that node), plus the global step order at workers=1.
-				type send struct{ round, to int32 }
+				type send struct {
+					round, to int32
+					dead      bool
+				}
 				steps := make([][]int32, n)
 				trues := make([][]int32, n)
 				sends := make([][]send, n)
+				wakes := make([][]int32, n)
+				wakeAt := func(ctx *Ctx, v int, at int64) {
+					wakes[v] = append(wakes[v], int32(at))
+					ctx.WakeAt(at)
+				}
 				var order [][2]int32
 				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 					r := ctx.Round()
@@ -334,11 +350,15 @@ func TestScheduleMatchesModel(t *testing.T) {
 					h *= 0x94D049BB133111EB
 					h ^= h >> 32
 					beacon := v%31 == 0
+					if beacon && r == 0 {
+						wakeAt(ctx, v, rounds+1+int64(v/31%2))
+					}
+					if !beacon && h>>12&7 == 0 {
+						wakeAt(ctx, v, r+1+int64(h>>16%3))
+					}
 					for p := 0; p < ctx.Degree(); p++ {
 						if beacon || h>>(8+4*p)&7 == 0 {
-							if !ctx.PortDown(p) {
-								sends[v] = append(sends[v], send{int32(r), csr.PortTo[int(csr.RowStart[v])+p]})
-							}
+							sends[v] = append(sends[v], send{int32(r), csr.PortTo[int(csr.RowStart[v])+p], ctx.PortDown(p)})
 							ctx.Send(p, Message{A: int64(v)})
 						}
 					}
@@ -356,6 +376,26 @@ func TestScheduleMatchesModel(t *testing.T) {
 				live := func(v int, r int64) bool {
 					cr, ok := crashes[v]
 					return !faulty || !ok || r < cr
+				}
+				// busy reports whether the phase is still open after round
+				// r-1: a node returned true or sent in it, or a node still
+				// live after it has a timer due from round r on.
+				busy := func(r int64) bool {
+					for v := 0; v < n; v++ {
+						if slices.Contains(trues[v], int32(r-1)) ||
+							slices.ContainsFunc(sends[v], func(s send) bool { return int64(s.round) == r-1 }) ||
+							live(v, r-1) && slices.ContainsFunc(wakes[v], func(at int32) bool { return int64(at) >= r }) {
+							return true
+						}
+					}
+					return false
+				}
+				end := int64(1)
+				for busy(end) {
+					end++
+				}
+				if cost.Rounds != end {
+					t.Fatalf("%s: phase ran %d rounds, the model ends it after %d", label, cost.Rounds, end)
 				}
 				got := make([][]int32, cost.Rounds+1)
 				want := make([][]int32, cost.Rounds+1)
@@ -375,9 +415,12 @@ func TestScheduleMatchesModel(t *testing.T) {
 								}
 							}
 							for _, s := range sends[v] {
-								if int64(s.round) == r-1 {
+								if int64(s.round) == r-1 && !s.dead {
 									next[s.to] = true
 								}
+							}
+							if slices.Contains(wakes[v], int32(r)) {
+								next[v] = true
 							}
 						}
 					}

@@ -16,6 +16,44 @@ import (
 // timer; allocs/op is the router's own steady-state per-run allocation,
 // gated by make bench-allocs-check.
 func BenchmarkRouterSolve(b *testing.B) {
+	e, inf := routerFixture(b)
+	vals := randomVals(e.N, rand.New(rand.NewSource(2)))
+	// One untimed solve sizes the Engine's reused router records.
+	if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterVerify times one Algorithm 2 verification (one core/verify
+// router run) on BenchmarkRouterSolve's instance, after one untimed
+// warm-up run. Verify mode is where every node waits through the complaint
+// window: it sets three timers per node, so allocs/op also gates the
+// engine's timer heap, through make bench-allocs-check.
+func BenchmarkRouterVerify(b *testing.B) {
+	e, inf := routerFixture(b)
+	if _, err := e.verifyParts(inf, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.verifyParts(inf, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// routerFixture builds the router benchmarks' instance: Figure 2's
+// grid-plus-apex graph on a sequential network, its 16 row parts with
+// elected leaders, and the randomized PA infrastructure over them.
+func routerFixture(b *testing.B) (*Engine, *Infra) {
 	const rows, cols = 16, 64
 	g := graph.GridStar(rows, cols)
 	net := congest.NewNetwork(g, 1)
@@ -35,16 +73,5 @@ func BenchmarkRouterSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vals := randomVals(g.N(), rand.New(rand.NewSource(2)))
-	// One untimed solve sizes the Engine's reused router records.
-	if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.SolveWithInfra(inf, vals, congest.MinPair); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return e, inf
 }

@@ -36,9 +36,12 @@ import (
 // and its port queues sorted by port, found by binary search. Every walk
 // (sealing in tryComplete, sending in flush) runs in ascending order, which
 // is the order the schedule — and so every Rounds/Messages figure — is
-// pinned to. An idle step costs O(1): tryComplete returns at once when no
-// part is open and flush when no port is busy. The Engine reuses the
-// records and their slices from one router run to the next.
+// pinned to. A node with nothing to send parks: the engine steps it only
+// when a message arrives or one of its clock waits ends — its part's start
+// delay, and in verify mode the complaint round verifyAt and the seal gate
+// at verifyAt+2 — each of which it sets as a congest timer (Ctx.WakeAt) in
+// round 0. The Engine reuses the records and their slices from one router
+// run to the next.
 
 // Router message kinds.
 const (
@@ -532,6 +535,17 @@ func (p *routerProc) tryComplete(round int64) {
 func (p *routerProc) step(ctx *congest.Ctx) bool {
 	cfg := p.cfg
 	round := ctx.Round()
+	if round == 0 {
+		// Every node steps in round 0: set the timers for the rounds whose
+		// logic depends on the clock alone, so no wait spins.
+		if p.delay > 0 {
+			ctx.WakeAt(p.delay)
+		}
+		if cfg.mode == modeVerify {
+			ctx.WakeAt(cfg.verifyAt)
+			ctx.WakeAt(cfg.verifyAt + 2)
+		}
+	}
 	if !p.started && round >= p.delay {
 		p.started = true
 		p.startActions()
@@ -550,14 +564,7 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 		}
 	}
 	p.tryComplete(round)
-	pending := p.flush(ctx)
-	if !p.started {
-		return true
-	}
-	if cfg.mode == modeVerify && round < cfg.verifyAt+2 {
-		return true
-	}
-	return pending
+	return p.flush(ctx)
 }
 
 // runRouter executes one router phase over the whole network on the

@@ -71,14 +71,18 @@ const longTailSpec = "crash=7@60"
 
 // goldenLongTail pins the exact execution of the long-tail fixture at
 // master seed 42: rounds, messages, the error, and the total Step count
-// (ActivityStats), which must agree across engines and Reset reuse.
+// (ActivityStats), which must agree across engines and Reset reuse. The
+// step count is engine activity, not model cost: it fell from 7,175,640
+// to 28,696 when the router's start delays and verify windows began to
+// park on Ctx.WakeAt timers instead of stepping every round, with rounds,
+// messages and the error unchanged.
 var goldenLongTail = struct {
 	rounds, messages, stepped int64
 	err                       string
 }{
 	rounds:   114527,
 	messages: 11384,
-	stepped:  7175640,
+	stepped:  28696,
 	err:      "core: construction exceeded budget cap 5120 with 1 parts unverified",
 }
 
