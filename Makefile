@@ -8,7 +8,7 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 16
+PR ?= 17
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -74,10 +74,11 @@ fuzz-smoke:
 # Engine benchmarks (graph-family x worker-count matrix on n=10k graphs,
 # plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6 and
 # the BenchmarkJobThroughput multi-run serving row — runs/sec at pool
-# saturation), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
+# saturation) and the PA core's router and construction rows
+# (BenchmarkRouterSolve/Verify, BenchmarkBuildInfra), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
 # perf trajectory. Replay into benchstat with: jq -r '.raw[]' BENCH_$(PR).json
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ \
+	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput|BenchmarkRouter|BenchmarkBuildInfra' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ ./internal/core/ \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchsnap -o BENCH_$(PR).json -note "$(BENCH_NOTE)"
 
@@ -91,10 +92,13 @@ bench-smoke:
 # back to naming the raw snapshots when jq/benchstat are unavailable.
 # Snapshot ledger note: there is deliberately no BENCH_8.json — PR 8 was
 # robustness-only (fault injection) and changed no perf surface, so the
-# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10 -> BENCH_15 -> BENCH_16 (no
-# engine snapshot was taken between BENCH_10 and BENCH_15).
-BENCH_OLD ?= BENCH_15.json
-BENCH_NEW ?= BENCH_16.json
+# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10 -> BENCH_15 -> BENCH_16 ->
+# BENCH_17 (no engine snapshot was taken between BENCH_10 and BENCH_15).
+# Without an installed benchstat the `go run` fallback runs with module
+# lookups off (GOPROXY=off), so it never reaches for the module proxy: an
+# offline host names the raw snapshots at once.
+BENCH_OLD ?= BENCH_16.json
+BENCH_NEW ?= BENCH_17.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -104,7 +108,7 @@ bench-compare:
 	if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/bench_old.txt /tmp/bench_new.txt; \
 	else \
-		$(GO) run golang.org/x/perf/cmd/benchstat@latest /tmp/bench_old.txt /tmp/bench_new.txt \
+		GOPROXY=off $(GO) run golang.org/x/perf/cmd/benchstat@latest /tmp/bench_old.txt /tmp/bench_new.txt 2>/dev/null \
 		|| echo "bench-compare: benchstat unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; \
 	fi; \
 	echo ""; \
@@ -170,14 +174,18 @@ bench-compare:
 # state), and the parallel rows stay within the same pool overhead as the
 # dense storm (29 measured, 40 ceiling).
 # BenchmarkRouterSolve extends the gate to the Algorithm 1 router: one
-# core/solve run on reused per-node records, 4 allocs/op measured at
+# core/solve run on reused per-node records, 3 allocs/op measured at
 # 200 iterations (5 ceiling). The map-based router it replaced made
 # 135,574 per run. BenchmarkRouterVerify gates the Algorithm 2 verify run,
-# whose nodes park on three WakeAt timers each: 10 allocs/op measured at
-# 200 iterations (11 ceiling), the engine's reused timer heap adding none.
+# whose nodes park on one chained WakeAt timer each: 1 alloc/op measured at
+# 200 iterations (2 ceiling), the engine's reused timer heap adding none.
+# BenchmarkBuildInfra gates one whole randomized PA construction on the
+# same instance (claim waves sealed into the part table, block setups,
+# verify runs): 9,301 allocs/op measured at 200 iterations (9,400 ceiling);
+# with per-node maps in the table and the claim procs it made 20,343.
 bench-allocs-check:
 	@{ $(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$' -benchmem -benchtime=5x ./internal/congest/ \
-		&& $(GO) test -run='^$$' -bench='^BenchmarkRouter(Solve|Verify)$$' -benchmem -benchtime=200x ./internal/core/; } \
+		&& $(GO) test -run='^$$' -bench='^Benchmark(Router(Solve|Verify)|BuildInfra)$$' -benchmem -benchtime=200x ./internal/core/; } \
 		| tee /tmp/bench_allocs.txt \
 		| awk ' \
 		/^Benchmark/ { \
@@ -188,7 +196,8 @@ bench-allocs-check:
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
 			} \
 			else if ($$1 ~ /^BenchmarkRouterSolve($$|-)/) { limit = 5; router++ } \
-			else if ($$1 ~ /^BenchmarkRouterVerify($$|-)/) { limit = 11; verify++ } \
+			else if ($$1 ~ /^BenchmarkRouterVerify($$|-)/) { limit = 2; verify++ } \
+			else if ($$1 ~ /^BenchmarkBuildInfra($$|-)/) { limit = 9400; build++ } \
 			else if ($$1 ~ /^BenchmarkEngine\//) { \
 				if ($$1 ~ /workers=1($$|-)/) limit = 2; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
@@ -205,6 +214,7 @@ bench-allocs-check:
 			if (checked == 0) { print "bench-allocs-check: no benchmark rows parsed"; exit 1 } \
 			if (router == 0) { print "bench-allocs-check: no BenchmarkRouterSolve row parsed"; exit 1 } \
 			if (verify == 0) { print "bench-allocs-check: no BenchmarkRouterVerify row parsed"; exit 1 } \
+			if (build == 0) { print "bench-allocs-check: no BenchmarkBuildInfra row parsed"; exit 1 } \
 			if (fail) exit 1; \
 			printf "bench-allocs-check: %d rows within pinned allocs/op ceilings\n", checked \
 		}'

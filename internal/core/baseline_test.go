@@ -9,6 +9,18 @@ import (
 	"shortcutpa/internal/part"
 )
 
+// solveOpts builds an ablated infrastructure (baseline.go) and runs one
+// aggregation on it: the naive and blocks-only strawmen of Section 3.1.
+func solveOpts(e *Engine, in *part.Info, opts InfraOptions, vals []congest.Val, f congest.Combine) (*Result, error) {
+	inf, err := e.BuildInfraOpts(in, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.SolveWithInfra(inf, vals, f)
+}
+
+// TestSolveNaiveMatchesOracle: aggregation on intra-part trees alone
+// (InfraOptions.NoShortcut) matches the offline aggregate.
 func TestSolveNaiveMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 5; trial++ {
@@ -16,7 +28,7 @@ func TestSolveNaiveMatchesOracle(t *testing.T) {
 		parts := graph.RandomConnectedPartition(g, 5, rng)
 		e, in := newTestEngine(t, g, parts, int64(trial+40), Randomized)
 		vals := randomVals(g.N(), rng)
-		res, err := e.SolveNaive(in, vals, congest.SumPair)
+		res, err := solveOpts(e, in, InfraOptions{NoShortcut: true}, vals, congest.SumPair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,13 +41,16 @@ func TestSolveNaiveMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSolveBlocksOnlyMatchesOracle: aggregation with every node a
+// representative (InfraOptions.SingletonSubParts) matches the offline
+// aggregate.
 func TestSolveBlocksOnlyMatchesOracle(t *testing.T) {
 	const rows, cols = 6, 24
 	g := graph.GridStar(rows, cols)
 	e, in := newTestEngine(t, g, graph.GridStarRowParts(rows, cols), 43, Randomized)
 	rng := rand.New(rand.NewSource(44))
 	vals := randomVals(g.N(), rng)
-	res, err := e.SolveBlocksOnly(in, vals, congest.MinPair)
+	res, err := solveOpts(e, in, InfraOptions{SingletonSubParts: true}, vals, congest.MinPair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +181,7 @@ func TestNaiveRoundSeparationOnDeepParts(t *testing.T) {
 		e.Net.ResetMetrics()
 		var err error
 		if naive {
-			_, err = e.SolveNaive(in, vals, congest.SumPair)
+			_, err = solveOpts(e, in, InfraOptions{NoShortcut: true}, vals, congest.SumPair)
 		} else {
 			_, err = e.Solve(in, vals, congest.SumPair)
 		}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
@@ -46,6 +46,8 @@ type Infra struct {
 	// Attempts records how many (CoreFast + verify) rounds construction
 	// used, for experiment reporting.
 	Attempts int
+
+	view *routerView // the router's view of SC's sealed part table (router.go)
 }
 
 // routerCfg assembles the router configuration for this infrastructure.
@@ -54,7 +56,6 @@ func (inf *Infra) routerCfg(e *Engine, mode routerMode, vals []congest.Val, f co
 		eng:      e,
 		in:       inf.In,
 		div:      inf.Div,
-		sc:       inf.SC,
 		mode:     mode,
 		vals:     vals,
 		f:        f,
@@ -65,6 +66,7 @@ func (inf *Infra) routerCfg(e *Engine, mode routerMode, vals []congest.Val, f co
 		cfg.delayRange = inf.Budget
 	}
 	cfg.verifyAt = 2*inf.Budget + cfg.delayRange + 32
+	cfg.view = inf.routerView(cfg)
 	return cfg
 }
 
@@ -138,6 +140,8 @@ func (e *Engine) runConstructionDriver(inf *Infra, claim func(*Infra, []int64) e
 			if err := claim(inf, active); err != nil {
 				return err
 			}
+			// Block setup seals the wave's claims into the part table, and
+			// the verify run rebuilds the router view from it.
 			if err := shortcut.SetupBlocks(e.Net, sc, e.maxBudget()); err != nil {
 				return fmt.Errorf("core: block setup: %w", err)
 			}
@@ -146,15 +150,15 @@ func (e *Engine) runConstructionDriver(inf *Infra, claim func(*Infra, []int64) e
 				return err
 			}
 			next := active[:0]
-			for _, id := range active {
-				if passed[id] {
+			for k, id := range active {
+				if passed[k] {
 					progressed = true
 				} else {
-					sc.DropPart(id)
 					next = append(next, id)
 				}
 			}
 			active = next
+			sc.DropPart(active...)
 		}
 		if !progressed {
 			inf.Budget *= 2
@@ -170,19 +174,14 @@ func (e *Engine) runConstructionDriver(inf *Infra, claim func(*Infra, []int64) e
 // uncoveredParts lists the part IDs that need shortcuts (not covered by the
 // radius-D BFS), in deterministic order.
 func (e *Engine) uncoveredParts(inf *Infra) []int64 {
-	seen := make(map[int64]struct{})
 	var out []int64
 	for v := 0; v < e.N; v++ {
 		if !inf.PB.Covered[v] {
-			id := inf.In.LeaderID[v]
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				out = append(out, id)
-			}
+			out = append(out, inf.In.LeaderID[v])
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // coreFast runs one claim wave: representatives of active parts send their
@@ -192,17 +191,10 @@ func (e *Engine) uncoveredParts(inf *Infra) []int64 {
 // then root their blocks below it ([19]'s CoreFast, with only the Õ(n/D)
 // representatives claiming — Section 3.2's message-efficiency device).
 func (e *Engine) coreFast(inf *Infra, active []int64) error {
-	activeSet := make(map[int64]struct{}, len(active))
-	for _, id := range active {
-		activeSet[id] = struct{}{}
-	}
-	threshold := int(inf.Budget)
-	n := e.N
 	cp := &claimProc{
-		e: e, inf: inf, active: activeSet, threshold: threshold,
-		processed: make([]map[int64]struct{}, n),
-		queue:     make([][]int64, n),
-		accepted:  make([]int, n),
+		e: e, inf: inf, active: active, threshold: int(inf.Budget),
+		claimed: make([][]int64, e.N),
+		sent:    make([]int, e.N),
 	}
 	_, err := e.Net.RunNodes("core/corefast", cp, e.maxBudget())
 	if err != nil {
@@ -211,31 +203,27 @@ func (e *Engine) coreFast(inf *Infra, active []int64) error {
 	return nil
 }
 
-// claimProc is the shared CoreFast state machine: per-node dedup of
-// processed parts, a FIFO of claims to forward up, and the per-run
-// congestion count on the node's parent edge — all indexed by the stepped
-// node.
+// claimProc is the shared CoreFast state machine, indexed by the stepped
+// node: the parts a node accepted onto its parent edge this run, in
+// acceptance order, and how many of those claims it has forwarded up.
 type claimProc struct {
 	e         *Engine
 	inf       *Infra
-	active    map[int64]struct{}
+	active    []int64 // ascending
 	threshold int
 
-	processed []map[int64]struct{}
-	queue     [][]int64
-	accepted  []int // claims accepted onto the parent edge this run
+	claimed [][]int64
+	sent    []int
 }
 
 // Step implements congest.NodeProc.
 func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
-	sc := p.inf.SC
 	if ctx.Round() == 0 {
-		p.processed[v] = make(map[int64]struct{})
 		// Representatives of active (uncovered) parts start a claim for
 		// their part.
-		if p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
-			if _, ok := p.active[p.inf.In.LeaderID[v]]; ok {
-				p.consider(v, p.inf.In.LeaderID[v])
+		if id := p.inf.In.LeaderID[v]; p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
+			if _, ok := slices.BinarySearch(p.active, id); ok {
+				p.consider(v, id)
 			}
 		}
 	}
@@ -243,85 +231,65 @@ func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
 		if in.Msg.Kind != kClaim {
 			return
 		}
-		i := in.Msg.A
 		// The child's edge now carries part i; remember the down-port.
-		sc.AddDownPort(v, i, in.Port)
-		p.consider(v, i)
+		p.inf.SC.AddDownPort(v, in.Msg.A, in.Port)
+		p.consider(v, in.Msg.A)
 	})
-	// Forward one queued claim per round up the tree.
-	if len(p.queue[v]) > 0 {
-		pp := p.e.Tree.ParentPort[v]
-		ctx.Send(pp, congest.Message{Kind: kClaim, A: p.queue[v][0]})
-		p.queue[v] = p.queue[v][1:]
+	// Forward one accepted claim per round up the tree.
+	if k := p.sent[v]; k < len(p.claimed[v]) {
+		ctx.Send(p.e.Tree.ParentPort[v], congest.Message{Kind: kClaim, A: p.claimed[v][k]})
+		p.sent[v]++
 	}
-	return len(p.queue[v]) > 0
+	return p.sent[v] < len(p.claimed[v])
 }
 
 // consider decides once per part whether to extend its claim over v's
-// parent edge.
+// parent edge. A part considered before is either claimed already or was
+// refused, and a refusal stands: the root never claims, and a full edge
+// stays full.
 func (p *claimProc) consider(v int, i int64) {
-	if _, done := p.processed[v][i]; done {
-		return
+	if p.e.Tree.ParentPort[v] < 0 || len(p.claimed[v]) >= p.threshold || slices.Contains(p.claimed[v], i) {
+		return // tree root, edge full this run (part i's block roots here), or claimed
 	}
-	p.processed[v][i] = struct{}{}
-	if p.e.Tree.ParentPort[v] < 0 {
-		return // tree root: claims stop here
-	}
-	if p.accepted[v] >= p.threshold {
-		return // edge full this run: part i's block roots here
-	}
-	p.accepted[v]++
 	p.inf.SC.ClaimUp(v, i)
-	p.queue[v] = append(p.queue[v], i)
+	p.claimed[v] = append(p.claimed[v], i)
 }
 
 // verifyParts is Algorithm 2: run the Algorithm 1 broadcast with an
 // arbitrary token, let uncovered nodes complain to covered part-neighbors,
 // aggregate the complaint bit at each leader, and broadcast the verdict.
-// It returns the set of part IDs that verified (complaint-free). With
-// check == nil all parts are read; otherwise only those listed.
-func (e *Engine) verifyParts(inf *Infra, check []int64) (map[int64]bool, error) {
+// It reports, for each part ID of check (ascending), whether the part
+// verified (complaint-free). With check == nil it checks every part and
+// returns an error naming the smallest failing part ID.
+func (e *Engine) verifyParts(inf *Infra, check []int64) ([]bool, error) {
 	cfg := inf.routerCfg(e, modeVerify, nil, congest.OrPair)
 	run, err := runRouter(cfg, "core/verify", inf.runBudget(cfg))
-	var exceeded *congest.BudgetExceededError
-	if err != nil && !errors.As(err, &exceeded) {
+	settled := err == nil
+	if !settled && !errors.As(err, new(*congest.BudgetExceededError)) {
 		return nil, fmt.Errorf("core: verify: %w", err)
 	}
-	want := make(map[int64]struct{}, len(check))
-	for _, id := range check {
-		want[id] = struct{}{}
+	if check == nil && !settled {
+		return nil, fmt.Errorf("core: final verification did not settle: %w", err)
 	}
-	passed := make(map[int64]bool)
-	for v := 0; v < e.N; v++ {
+	passed := make([]bool, len(check))
+	// The smallest failing ID, not the first one met: error strings are
+	// part of the bit-identical execution contract (the
+	// scenario-equivalence harness compares them).
+	worst := int64(math.MaxInt64)
+	for v := range run.nodes {
 		if !inf.In.IsLeader[v] {
 			continue
 		}
-		id := inf.In.LeaderID[v]
-		if check != nil {
-			if _, ok := want[id]; !ok {
-				continue
-			}
+		id, p := inf.In.LeaderID[v], &run.nodes[v]
+		ok := settled && p.gotResult && p.result.A == 0
+		if k, want := slices.BinarySearch(check, id); want {
+			passed[k] = ok
+		} else if check == nil && !ok {
+			worst = min(worst, id)
 		}
-		p := &run.nodes[v]
-		passed[id] = exceeded == nil && p.gotResult && p.result.A == 0
 	}
-	if check == nil && exceeded != nil {
-		return nil, fmt.Errorf("core: final verification did not settle: %w", err)
-	}
-	if check == nil {
-		// Report the smallest failing ID, not the first map-iteration hit:
-		// error strings are part of the bit-identical execution contract
-		// (the scenario-equivalence harness compares them), so the choice
-		// must be deterministic.
-		worst := int64(math.MaxInt64)
-		for id, ok := range passed {
-			if !ok && id < worst {
-				worst = id
-			}
-		}
-		if worst != math.MaxInt64 {
-			return nil, fmt.Errorf("core: part %d failed final verification", worst)
-		}
+	if worst != math.MaxInt64 {
+		return nil, fmt.Errorf("core: part %d failed final verification", worst)
 	}
 	return passed, nil
 }

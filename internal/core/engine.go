@@ -43,7 +43,7 @@ type Engine struct {
 	D     int64 // BFS-tree height: D <= diameter <= 2D
 
 	budgetCap int64
-	router    routerRun // reused by every router run on this engine
+	router    routerRun // records and port queues reused by every router run, whichever Infra it serves
 }
 
 // NewEngine elects a leader, builds the BFS tree, and distributes n and the

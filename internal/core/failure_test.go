@@ -162,9 +162,9 @@ func TestVerifyPartsReportsFailureForTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, ok := range passed {
+	for k, ok := range passed {
 		if ok {
-			t.Fatalf("part %d passed verification with budget 2", id)
+			t.Fatalf("part %d passed verification with budget 2", active[k])
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/shortcut"
@@ -32,16 +35,23 @@ import (
 // queues with the whole part delayed by a pseudo-random offset in [0, c)
 // derived from the part ID (Algorithm 1's "delay ~ U(c)").
 //
-// Node state is flat: each node holds its part records sorted by part ID
-// and its port queues sorted by port, found by binary search. Every walk
-// (sealing in tryComplete, sending in flush) runs in ascending order, which
-// is the order the schedule — and so every Rounds/Messages figure — is
-// pinned to. A node with nothing to send parks: the engine steps it only
-// when a message arrives or one of its clock waits ends — its part's start
-// delay, and in verify mode the complaint round verifyAt and the seal gate
-// at verifyAt+2 — each of which it sets as a congest timer (Ctx.WakeAt) in
-// round 0. The Engine reuses the records and their slices from one router
-// run to the next.
+// Node state is flat. An Infra's sealed part table (internal/shortcut)
+// gives each node a static view (routerView), rebuilt only when the table
+// changes, never per run: its own part merged with its table's parts,
+// ascending by ID, with the flags the router reads per message, plus its
+// forwarding ports and start delay. The node's part records line up with
+// that run by index, so finding a message's record is one binary search
+// over a compact key run, and no record is created mid-run; a message for a
+// part outside the run can only come from an unmirrored claim, and fails
+// the phase. Port queues are indexed by port. Every walk (sealing in tryComplete, sending in flush) runs in
+// ascending order, which is the order the schedule — and so every
+// Rounds/Messages figure — is pinned to. A node with nothing to send parks:
+// the engine steps it only when a message arrives or one of its clock waits
+// ends — its part's start delay, and in verify mode the complaint round
+// verifyAt and the seal gate at verifyAt+2. Those are congest timers
+// (Ctx.WakeAt), one pending per node: each is set in the round the previous
+// wait ends. The Engine reuses the records, the queues and their slices
+// from one router run to the next; a run clears only their mutable state.
 
 // Router message kinds.
 const (
@@ -68,7 +78,7 @@ type routerConfig struct {
 	eng        *Engine
 	in         *part.Info
 	div        *subpart.Division
-	sc         *shortcut.Shortcut
+	view       *routerView
 	mode       routerMode
 	vals       []congest.Val
 	f          congest.Combine
@@ -104,15 +114,84 @@ type queued struct {
 // pop advances head instead of shifting the slice. A drained queue resets
 // to empty so its capacity is reused.
 type portQueue struct {
-	port  int
 	head  int
 	items []queued
 }
 
-// partRec is what a node knows about one part whose token, beacons, acks,
-// aggregates or result have reached it.
+// routerView is an Infra's static router state, built from its sealed part
+// table: each node's run of part records — its own part merged with the
+// parts of its shortcut table, ascending by ID — with the flags the router
+// reads per message, plus its forwarding ports and start delay.
+type routerView struct {
+	sc     *shortcut.Shortcut
+	epoch  uint64 // sc's epoch the runs were built from
+	budget int64  // Infra.Budget the delays were derived under
+	row    []int32
+	keys   []int64   // node v's part IDs are keys[row[v]:row[v+1]]
+	stat   []recStat // aligned with keys
+	own    []int32   // index of the node's own part within its run
+	fwdRow []int32   // node v's forwarding ports are fwd[fwdRow[v]:fwdRow[v+1]]
+	fwd    []int     // sub-part tree ports (parent, children), then exit ports
+	delay  []int64   // the own part's start delay
+}
+
+// recStat is what a node knows statically about one part of its run.
+type recStat struct {
+	up      bool  // the node's parent edge is in the part's shortcut
+	onBlock bool  // the part's shortcut touches the node
+	depth   int64 // block-root depth, or 0 without block metadata
+}
+
+// routerView returns the Infra's router view. The forwarding ports depend
+// on the partition and the division alone and are built once; the runs and
+// the delays are rebuilt, in place, when the part table or the budget
+// changed since the last build.
+func (inf *Infra) routerView(cfg *routerConfig) *routerView {
+	sc, n := inf.SC, cfg.eng.N
+	w := inf.view
+	if w == nil {
+		w = &routerView{row: make([]int32, n+1), own: make([]int32, n), fwdRow: make([]int32, n+1), delay: make([]int64, n)}
+		for v := 0; v < n; v++ {
+			if pp := cfg.div.ParentPort[v]; pp >= 0 {
+				w.fwd = append(w.fwd, pp)
+			}
+			w.fwd = append(w.fwd, cfg.div.ChildPorts[v]...)
+			sub := cfg.div.SameSubRow(v)
+			for q, same := range cfg.in.SameRow(v) {
+				if same && !sub[q] {
+					w.fwd = append(w.fwd, q)
+				}
+			}
+			w.fwdRow[v+1] = int32(len(w.fwd))
+		}
+		inf.view = w
+	} else if w.sc == sc && w.epoch == sc.Epoch() && w.budget == inf.Budget {
+		return w
+	}
+	w.sc, w.epoch, w.budget = sc, sc.Epoch(), inf.Budget
+	w.keys, w.stat = slices.Grow(w.keys[:0], n+sc.Len()), slices.Grow(w.stat[:0], n+sc.Len())
+	for v := 0; v < n; v++ {
+		my := cfg.in.LeaderID[v]
+		parts, ents := sc.Node(v)
+		k, found := slices.BinarySearch(parts, my)
+		w.own[v] = int32(k)
+		for j := 0; j <= len(parts); j++ {
+			if j == k && !found {
+				w.keys, w.stat = append(w.keys, my), append(w.stat, recStat{})
+			}
+			if j < len(parts) {
+				w.keys = append(w.keys, parts[j])
+				w.stat = append(w.stat, recStat{up: ents[j].Up, onBlock: true, depth: ents[j].Meta.RootDepth})
+			}
+		}
+		w.row[v+1] = int32(len(w.keys))
+		w.delay[v] = cfg.partDelay(my)
+	}
+	return w
+}
+
+// partRec is a node's per-run state for one part of its run.
 type partRec struct {
-	id          int64
 	informed    bool // token adopted (or originated at the leader)
 	via         int  // first-receipt port; -1 at the origin
 	pendingAcks int  // tokens offered and not yet answered
@@ -133,154 +212,75 @@ type partRec struct {
 // record's slices, across router runs; a run's results are read before the
 // next run starts.
 type routerRun struct {
-	nodes []routerProc
+	nodes  []routerProc
+	recs   []partRec   // aligned with the view's keys
+	qrow   []int32     // the graph's CSR RowStart
+	queues []portQueue // one per port: node v's are queues[qrow[v]:qrow[v+1]]
 }
 
 // Step implements congest.NodeProc.
 func (r *routerRun) Step(ctx *congest.Ctx, v int) bool { return r.nodes[v].step(ctx) }
 
 // routerProc is one node's router state (a record in routerRun's backing
-// array, not an individually allocated proc). A node sees at most its
-// congestion's worth of parts, so its part records stay few.
+// array, not an individually allocated proc). Its slices are the node's
+// windows on the view and on the run's records and port queues.
 type routerProc struct {
-	cfg    *routerConfig
-	v      int
-	myPart int64
+	cfg  *routerConfig
+	v    int
+	own  int // index of the own part in keys
+	keys []int64
+	stat []recStat
+	recs []partRec
+	fwd  []int
 
-	treePorts []int // sub-part tree ports (parent + children)
-	exitPorts []int // same-part ports leaving my sub-part
+	queues []portQueue // indexed by port
+	busy   int         // queues with messages waiting
+	seq    int64
+	delay  int64
+	open   int // informed parts not yet sealed
 
-	queues  []portQueue // ascending port; a used port keeps its (empty) queue
-	busy    int         // queues with messages waiting
-	seq     int64
-	started bool
-	delay   int64
-
-	parts []partRec // ascending part ID
-	open  int       // informed parts not yet sealed
-
-	ownVal     congest.Val
+	started    bool
 	complained bool
-
-	gotResult bool
-	result    congest.Val
+	gotResult  bool
+	ownVal     congest.Val
+	result     congest.Val
+	err        error // a message for a part outside the node's run
 }
 
-// reset refills one routerRun record in place for a new run, keeping the
-// capacity of every slice it owns.
-func (p *routerProc) reset(cfg *routerConfig, v int) {
+// reset points one routerRun record at node v's windows for a new run and
+// clears their mutable state, keeping the capacity of every slice.
+func (p *routerProc) reset(cfg *routerConfig, r *routerRun, v int) {
+	w := cfg.view
+	queues := r.queues[r.qrow[v]:r.qrow[v+1]]
+	if p.busy > 0 { // an aborted run left messages queued
+		for k := range queues {
+			queues[k] = portQueue{items: queues[k].items[:0]}
+		}
+	}
+	lo, hi := w.row[v], w.row[v+1]
+	recs := r.recs[lo:hi]
+	for k := range recs {
+		x := &recs[k]
+		*x = partRec{sentPorts: x.sentPorts[:0], beaconPorts: x.beaconPorts[:0], children: x.children[:0]}
+	}
 	*p = routerProc{
-		cfg:       cfg,
-		v:         v,
-		myPart:    cfg.in.LeaderID[v],
-		treePorts: p.treePorts[:0],
-		exitPorts: p.exitPorts[:0],
-		queues:    p.queues[:0],
-		parts:     p.parts[:0],
+		cfg: cfg, v: v, own: int(w.own[v]),
+		keys: w.keys[lo:hi], stat: w.stat[lo:hi], recs: recs,
+		fwd: w.fwd[w.fwdRow[v]:w.fwdRow[v+1]], queues: queues, delay: w.delay[v],
 	}
 	if cfg.mode == modeSolve {
 		p.ownVal = cfg.vals[v]
 	}
-	div := cfg.div
-	if pp := div.ParentPort[v]; pp >= 0 {
-		p.treePorts = append(p.treePorts, pp)
-	}
-	p.treePorts = append(p.treePorts, div.ChildPorts[v]...)
-	same := cfg.in.SameRow(v)
-	sub := div.SameSubRow(v)
-	for q := range same {
-		if same[q] && !sub[q] {
-			p.exitPorts = append(p.exitPorts, q)
-		}
-	}
-	p.delay = cfg.partDelay(p.myPart)
 }
 
-// insertAt grows s by one and opens slot k. The spare slot past the old
-// length (left over from an earlier run) rotates into k, so the slices it
-// owns are reused rather than shared with a neighbor.
-func insertAt[T any](s []T, k int) []T {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		var zero T
-		s = append(s, zero)
-	}
-	last := len(s) - 1
-	spare := s[last]
-	copy(s[k+1:], s[k:last])
-	s[k] = spare
-	return s
-}
-
-// searchPart returns the index of part i's record, or where it belongs.
-func (p *routerProc) searchPart(i int64) (int, bool) {
-	lo, hi := 0, len(p.parts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.parts[mid].id < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(p.parts) && p.parts[lo].id == i
-}
-
-// lookup returns part i's record, or nil if the node has not seen part i.
-func (p *routerProc) lookup(i int64) *partRec {
-	if k, ok := p.searchPart(i); ok {
-		return &p.parts[k]
-	}
-	return nil
-}
-
-// record returns part i's record, creating it if needed. The pointer is
-// valid until the next record is created.
-func (p *routerProc) record(i int64) *partRec {
-	k, ok := p.searchPart(i)
-	if !ok {
-		p.parts = insertAt(p.parts, k)
-		r := &p.parts[k]
-		*r = partRec{
-			id:          i,
-			sentPorts:   r.sentPorts[:0],
-			beaconPorts: r.beaconPorts[:0],
-			children:    r.children[:0],
-		}
-	}
-	return &p.parts[k]
-}
-
-// queue returns port's queue, creating it if needed.
-func (p *routerProc) queue(port int) *portQueue {
-	lo, hi := 0, len(p.queues)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.queues[mid].port < port {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(p.queues) || p.queues[lo].port != port {
-		p.queues = insertAt(p.queues, lo)
-		q := &p.queues[lo]
-		*q = portQueue{port: port, items: q.items[:0]}
-	}
-	return &p.queues[lo]
-}
-
-// enqueue schedules a message on a port. Only the deterministic rule needs
-// the part's block-root depth.
-func (p *routerProc) enqueue(port int, m congest.Message) {
+// enqueue schedules a message for record k's part on a port. Only the
+// deterministic rule needs the part's block-root depth.
+func (p *routerProc) enqueue(port, k int, m congest.Message) {
 	var pri1 int64
 	if p.cfg.det {
-		if meta, ok := p.cfg.sc.Meta[p.v][m.A]; ok {
-			pri1 = meta.RootDepth
-		}
+		pri1 = p.stat[k].depth
 	}
-	q := p.queue(port)
+	q := &p.queues[port]
 	if q.head == len(q.items) {
 		p.busy++
 	}
@@ -293,13 +293,13 @@ func (p *routerProc) enqueue(port int, m congest.Message) {
 // whether any queue still has work. A port that cannot send keeps its queue.
 func (p *routerProc) flush(ctx *congest.Ctx) bool {
 	left := p.busy
-	for k := 0; left > 0; k++ {
-		q := &p.queues[k]
+	for port := 0; left > 0; port++ {
+		q := &p.queues[port]
 		if q.head == len(q.items) {
 			continue
 		}
 		left--
-		if !ctx.CanSend(q.port) {
+		if !ctx.CanSend(port) {
 			continue
 		}
 		if p.cfg.det {
@@ -313,7 +313,7 @@ func (p *routerProc) flush(ctx *congest.Ctx) bool {
 			}
 			q.items[q.head], q.items[best] = q.items[best], q.items[q.head]
 		}
-		ctx.Send(q.port, q.items[q.head].msg)
+		ctx.Send(port, q.items[q.head].msg)
 		q.head++
 		if q.head == len(q.items) {
 			q.head, q.items = 0, q.items[:0]
@@ -335,54 +335,46 @@ func lessKey(a, b queued) bool {
 	return a.seq < b.seq
 }
 
-// sendToken offers part r.id's token on port q at most once.
-func (p *routerProc) sendToken(r *partRec, q int) {
-	for _, s := range r.sentPorts {
-		if s == q {
-			return
-		}
+// sendToken offers record k's token on port q at most once.
+func (p *routerProc) sendToken(k, q int) {
+	r := &p.recs[k]
+	if slices.Contains(r.sentPorts, q) {
+		return
 	}
 	r.sentPorts = append(r.sentPorts, q)
 	r.pendingAcks++
-	p.enqueue(q, congest.Message{Kind: kToken, A: r.id})
+	p.enqueue(q, k, congest.Message{Kind: kToken, A: p.keys[k]})
 }
 
-// spread performs the forwarding a node owes after adopting part r.id's
+// spread performs the forwarding a node owes after adopting record k's
 // token: members flood their sub-part tree and exit edges (Algorithm 1
 // lines 13-18); nodes on the part's block relay rootward and serve beacon
 // paths.
-func (p *routerProc) spread(r *partRec, via int) {
-	cfg := p.cfg
-	i := r.id
-	if i == p.myPart {
-		for _, q := range p.treePorts {
+func (p *routerProc) spread(k, via int) {
+	if k == p.own {
+		for _, q := range p.fwd {
 			if q != via {
-				p.sendToken(r, q)
-			}
-		}
-		for _, q := range p.exitPorts {
-			if q != via {
-				p.sendToken(r, q)
+				p.sendToken(k, q)
 			}
 		}
 	}
-	if cfg.sc.OnBlock(p.v, i) {
-		if cfg.sc.HasUp(p.v, i) {
-			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 && pp != via {
-				p.sendToken(r, pp)
+	if st := p.stat[k]; st.onBlock {
+		if st.up {
+			if pp := p.cfg.eng.Tree.ParentPort[p.v]; pp >= 0 && pp != via {
+				p.sendToken(k, pp)
 			}
 		}
-		for _, q := range r.beaconPorts {
+		for _, q := range p.recs[k].beaconPorts {
 			if q != via {
-				p.sendToken(r, q)
+				p.sendToken(k, q)
 			}
 		}
 	}
 }
 
-// adopt marks part r.id informed via port via (-1 at the origin).
-func (p *routerProc) adopt(r *partRec, via int) {
-	r.informed, r.via = true, via
+// adopt marks record k informed via port via (-1 at the origin).
+func (p *routerProc) adopt(k, via int) {
+	p.recs[k].informed, p.recs[k].via = true, via
 	p.open++
 }
 
@@ -391,16 +383,13 @@ func (p *routerProc) adopt(r *partRec, via int) {
 func (p *routerProc) startActions() {
 	cfg := p.cfg
 	if cfg.in.IsLeader[p.v] {
-		r := p.record(p.myPart)
-		p.adopt(r, -1)
-		p.spread(r, -1)
+		p.adopt(p.own, -1)
+		p.spread(p.own, -1)
 	}
-	if cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] && cfg.sc.HasUp(p.v, p.myPart) {
-		if r := p.lookup(p.myPart); r == nil || !r.beaconFwd {
-			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
-				p.record(p.myPart).beaconFwd = true
-				p.enqueue(pp, congest.Message{Kind: kBeacon, A: p.myPart})
-			}
+	if r := &p.recs[p.own]; cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] && p.stat[p.own].up && !r.beaconFwd {
+		if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
+			r.beaconFwd = true
+			p.enqueue(pp, p.own, congest.Message{Kind: kBeacon, A: p.keys[p.own]})
 		}
 	}
 }
@@ -414,24 +403,26 @@ func (p *routerProc) handle(in congest.Incoming) {
 		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
 		return
 	}
-	r := p.record(i)
+	k, ok := slices.BinarySearch(p.keys, i)
+	if !ok {
+		// Only a claim its far end never recorded can route a part here.
+		if p.err == nil {
+			p.err = fmt.Errorf("core: node %d received a message for part %d outside its part table", p.v, i)
+		}
+		return
+	}
+	r := &p.recs[k]
 	switch in.Msg.Kind {
 	case kToken:
 		if r.informed {
-			p.enqueue(in.Port, congest.Message{Kind: kAckDecline, A: i})
+			p.enqueue(in.Port, k, congest.Message{Kind: kAckDecline, A: i})
 			return
 		}
-		p.adopt(r, in.Port)
-		p.enqueue(in.Port, congest.Message{Kind: kAckAdopt, A: i})
-		p.spread(r, in.Port)
+		p.adopt(k, in.Port)
+		p.enqueue(in.Port, k, congest.Message{Kind: kAckAdopt, A: i})
+		p.spread(k, in.Port)
 	case kBeacon:
-		known := false
-		for _, q := range r.beaconPorts {
-			if q == in.Port {
-				known = true
-			}
-		}
-		if !known {
+		if !slices.Contains(r.beaconPorts, in.Port) {
 			r.beaconPorts = append(r.beaconPorts, in.Port)
 		}
 		// Serve the beacon now if the token already passed through and the
@@ -439,12 +430,12 @@ func (p *routerProc) handle(in congest.Incoming) {
 		// the new child's aggregate; such terminals are reached by the
 		// intra-part flood instead).
 		if r.informed && !r.aggSent {
-			p.sendToken(r, in.Port)
+			p.sendToken(k, in.Port)
 		}
-		if cfg.sc.HasUp(p.v, i) && !r.beaconFwd {
+		if p.stat[k].up && !r.beaconFwd {
 			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
 				r.beaconFwd = true
-				p.enqueue(pp, congest.Message{Kind: kBeacon, A: i})
+				p.enqueue(pp, k, congest.Message{Kind: kBeacon, A: i})
 			}
 		}
 	case kAckAdopt:
@@ -464,22 +455,23 @@ func (p *routerProc) handle(in congest.Incoming) {
 	case kAggEmpty:
 		r.aggWait--
 	case kResult:
-		if p.forwardResult(r, congest.Val{A: in.Msg.B, B: in.Msg.C}) && i == p.myPart {
+		if p.forwardResult(k, congest.Val{A: in.Msg.B, B: in.Msg.C}) && k == p.own {
 			p.gotResult = true
 			p.result = congest.Val{A: in.Msg.B, B: in.Msg.C}
 		}
 	}
 }
 
-// forwardResult pushes a result down the adopted subtree once; reports
-// whether this was the first receipt.
-func (p *routerProc) forwardResult(r *partRec, val congest.Val) bool {
+// forwardResult pushes a result down record k's adopted subtree once;
+// reports whether this was the first receipt.
+func (p *routerProc) forwardResult(k int, val congest.Val) bool {
+	r := &p.recs[k]
 	if r.resultSeen {
 		return false
 	}
 	r.resultSeen = true
 	for _, q := range r.children {
-		p.enqueue(q, congest.Message{Kind: kResult, A: r.id, B: val.A, C: val.B})
+		p.enqueue(q, k, congest.Message{Kind: kResult, A: p.keys[k], B: val.A, C: val.B})
 	}
 	return true
 }
@@ -492,7 +484,7 @@ func (p *routerProc) tryComplete(round int64) {
 	cfg := p.cfg
 	left := p.open
 	for k := 0; left > 0; k++ {
-		r := &p.parts[k]
+		r := &p.recs[k]
 		if !r.informed || r.aggSent {
 			continue
 		}
@@ -500,13 +492,12 @@ func (p *routerProc) tryComplete(round int64) {
 		if r.pendingAcks != 0 || r.aggWait != 0 {
 			continue
 		}
-		i := r.id
-		if i == p.myPart && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
+		if k == p.own && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
 			continue // complaints may still be en route
 		}
 		total := r.agg
 		has := r.aggHas
-		if i == p.myPart {
+		if k == p.own {
 			if has {
 				total = cfg.f(total, p.ownVal)
 			} else {
@@ -516,17 +507,18 @@ func (p *routerProc) tryComplete(round int64) {
 		}
 		r.aggSent = true
 		p.open--
+		i := p.keys[k]
 		if r.via >= 0 {
 			if has {
-				p.enqueue(r.via, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
+				p.enqueue(r.via, k, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
 			} else {
-				p.enqueue(r.via, congest.Message{Kind: kAggEmpty, A: i})
+				p.enqueue(r.via, k, congest.Message{Kind: kAggEmpty, A: i})
 			}
 		} else {
 			// Origin: total = f(P_i); distribute it.
 			p.gotResult = true
 			p.result = total
-			p.forwardResult(r, total)
+			p.forwardResult(k, total)
 		}
 	}
 }
@@ -535,16 +527,18 @@ func (p *routerProc) tryComplete(round int64) {
 func (p *routerProc) step(ctx *congest.Ctx) bool {
 	cfg := p.cfg
 	round := ctx.Round()
-	if round == 0 {
-		// Every node steps in round 0: set the timers for the rounds whose
-		// logic depends on the clock alone, so no wait spins.
-		if p.delay > 0 {
-			ctx.WakeAt(p.delay)
-		}
-		if cfg.mode == modeVerify {
-			ctx.WakeAt(cfg.verifyAt)
-			ctx.WakeAt(cfg.verifyAt + 2)
-		}
+	// Clock waits are chained, one timer pending at a time: every node
+	// steps in round 0 and sets the first, and the round a wait ends sets
+	// the next — the part's start delay, then in verify mode the complaint
+	// round verifyAt and the seal gate verifyAt+2.
+	switch {
+	case round == 0 && p.delay > 0:
+		ctx.WakeAt(p.delay)
+	case cfg.mode != modeVerify:
+	case round == p.delay:
+		ctx.WakeAt(cfg.verifyAt)
+	case round == cfg.verifyAt:
+		ctx.WakeAt(cfg.verifyAt + 2)
 	}
 	if !p.started && round >= p.delay {
 		p.started = true
@@ -555,10 +549,10 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 	})
 	if cfg.mode == modeVerify && round == cfg.verifyAt && !p.complained {
 		p.complained = true
-		if r := p.lookup(p.myPart); r == nil || !r.informed {
+		if !p.recs[p.own].informed {
 			for q, ok := range cfg.in.SameRow(p.v) {
 				if ok {
-					p.enqueue(q, congest.Message{Kind: kComplain, A: p.myPart})
+					p.enqueue(q, p.own, congest.Message{Kind: kComplain, A: p.keys[p.own]})
 				}
 			}
 		}
@@ -569,16 +563,29 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 
 // runRouter executes one router phase over the whole network on the
 // Engine's reused records and returns the run for result extraction, which
-// must finish before the Engine's next router run.
+// must finish before the Engine's next router run. A node that received a
+// message for a part outside its run fails the phase.
 func runRouter(cfg *routerConfig, name string, budget int64) (*routerRun, error) {
 	e := cfg.eng
 	r := &e.router
 	if len(r.nodes) != e.N {
 		r.nodes = make([]routerProc, e.N)
+		r.qrow = e.Net.Graph().CSR().RowStart
+		r.queues = make([]portQueue, r.qrow[e.N])
+	}
+	if n := len(cfg.view.keys); n > cap(r.recs) {
+		r.recs = append(r.recs[:cap(r.recs)], make([]partRec, n-cap(r.recs))...)
+	} else {
+		r.recs = r.recs[:n]
 	}
 	for v := range r.nodes {
-		r.nodes[v].reset(cfg, v)
+		r.nodes[v].reset(cfg, r, v)
 	}
 	_, err := e.Net.RunNodes(name, r, budget)
+	for v := range r.nodes {
+		if r.nodes[v].err != nil {
+			return r, r.nodes[v].err
+		}
+	}
 	return r, err
 }

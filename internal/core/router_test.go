@@ -2,12 +2,12 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
-	"shortcutpa/internal/shortcut"
 )
 
 // The tests below drive one routerProc by hand at the hub of a star:
@@ -47,8 +47,9 @@ func (d *routerDriver) Step(ctx *congest.Ctx, v int) bool {
 }
 
 // starRouter returns a Star(leaves+1) network and a bare hub record whose
-// hub port q leads to leaf q+1.
-func starRouter(t *testing.T, leaves int, det bool) (*congest.Network, *routerProc) {
+// hub port q leads to leaf q+1. The hub's run holds parts keys (ascending),
+// none of them its own and none on a block.
+func starRouter(t *testing.T, leaves int, det bool, keys ...int64) (*congest.Network, *routerProc) {
 	t.Helper()
 	g := graph.Star(leaves + 1)
 	for q := 0; q < leaves; q++ {
@@ -56,13 +57,12 @@ func starRouter(t *testing.T, leaves int, det bool) (*congest.Network, *routerPr
 			t.Fatalf("hub port %d leads to %d, want %d", q, g.Neighbor(0, q), q+1)
 		}
 	}
-	cfg := &routerConfig{
-		sc:   shortcut.New(nil, g.N()),
-		mode: modeSolve,
-		f:    congest.MinPair,
-		det:  det,
+	cfg := &routerConfig{mode: modeSolve, f: congest.MinPair, det: det}
+	return congest.NewNetwork(g, 1), &routerProc{
+		cfg: cfg, v: 0, own: -1,
+		keys: keys, stat: make([]recStat, len(keys)), recs: make([]partRec, len(keys)),
+		queues: make([]portQueue, leaves),
 	}
-	return congest.NewNetwork(g, 1), &routerProc{cfg: cfg, v: 0, myPart: -1}
 }
 
 // scrambled is the enqueue script shared by the queue tests: (port, part)
@@ -77,21 +77,23 @@ var scrambled = []struct {
 
 func runScrambled(t *testing.T, det bool) (*routerDriver, congest.Metrics) {
 	t.Helper()
-	net, p := starRouter(t, 4, det)
+	net, p := starRouter(t, 4, det, 10, 20, 30, 40)
 	if det {
 		// Block-root depths: part 40 shallowest, then 20, then 10 and 30 tie.
 		for part, depth := range map[int64]int64{40: 1, 20: 2, 10: 3, 30: 3} {
-			p.cfg.sc.Meta[0][part] = shortcut.BlockMeta{RootDepth: depth}
+			p.stat[slices.Index(p.keys, part)].depth = depth
 		}
 	}
 	d := &routerDriver{p: p, got: make([][]delivery, net.N())}
 	d.setup = func(*congest.Ctx) {
 		for k, e := range scrambled {
-			p.enqueue(e.port, congest.Message{Kind: kToken, A: e.part, B: int64(k)})
+			p.enqueue(e.port, slices.Index(p.keys, e.part), congest.Message{Kind: kToken, A: e.part, B: int64(k)})
 		}
-		ports := make([]int, len(p.queues))
-		for k, q := range p.queues {
-			ports[k] = q.port
+		var ports []int
+		for q := range p.queues {
+			if len(p.queues[q].items) > 0 {
+				ports = append(ports, q)
+			}
 		}
 		if !reflect.DeepEqual(ports, []int{0, 1, 2, 3}) || p.busy != 4 {
 			t.Errorf("queues on ports %v with %d busy, want ports [0 1 2 3] all busy", ports, p.busy)
@@ -166,7 +168,7 @@ func TestRouterFlushDeterministicOrder(t *testing.T) {
 // scenario) is not such a port: CanSend stays true there, so flush drains
 // it at the same one-per-round pace, each send counted and dropped.
 func TestRouterFlushBusyAndDeadPorts(t *testing.T) {
-	net, p := starRouter(t, 3, false)
+	net, p := starRouter(t, 3, false, 0, 1, 2)
 	sc, err := congest.ParseScenario("drop=0-2@0")
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestRouterFlushBusyAndDeadPorts(t *testing.T) {
 	d.setup = func(*congest.Ctx) {
 		for k := int64(0); k < 3; k++ {
 			for q := 0; q < 3; q++ {
-				p.enqueue(q, congest.Message{Kind: kToken, A: k})
+				p.enqueue(q, int(k), congest.Message{Kind: kToken, A: k})
 			}
 		}
 	}
@@ -219,25 +221,26 @@ func TestRouterFlushBusyAndDeadPorts(t *testing.T) {
 // ascending part ID, whatever order their tokens arrived in, and the
 // origin's RESULT takes its place in that order.
 func TestRouterSealOrder(t *testing.T) {
-	net, p := starRouter(t, 1, false)
-	p.myPart = 15
+	net, p := starRouter(t, 1, false, 10, 15, 20, 30)
+	p.own = slices.Index(p.keys, 15)
 	p.ownVal = congest.Val{A: 7, B: 8}
 	d := &routerDriver{p: p, got: make([][]delivery, net.N())}
 	d.setup = func(*congest.Ctx) {
 		// The hub leads part 15; its token reached leaf 1, which adopted.
-		r := p.record(15)
-		p.adopt(r, -1)
-		r.children = append(r.children, 0)
+		p.adopt(p.own, -1)
+		p.recs[p.own].children = append(p.recs[p.own].children, 0)
 		// Tokens of three foreign parts arrive on port 0 in scrambled order.
 		for _, i := range []int64{30, 10, 20} {
 			p.handle(congest.Incoming{Port: 0, Msg: congest.Message{Kind: kToken, A: i}})
 		}
-		ids := make([]int64, len(p.parts))
-		for k := range p.parts {
-			ids[k] = p.parts[k].id
+		var informed []int64
+		for k := range p.recs {
+			if p.recs[k].informed {
+				informed = append(informed, p.keys[k])
+			}
 		}
-		if !reflect.DeepEqual(ids, []int64{10, 15, 20, 30}) || p.open != 4 {
-			t.Errorf("records %v with %d open, want [10 15 20 30] all open", ids, p.open)
+		if !reflect.DeepEqual(informed, []int64{10, 15, 20, 30}) || p.open != 4 || p.err != nil {
+			t.Errorf("records %v informed with %d open (err %v), want [10 15 20 30] all open", informed, p.open, p.err)
 		}
 	}
 	if _, err := net.RunNodes("test/router-seal", d, 64); err != nil {

@@ -6,10 +6,13 @@
 //
 // A T-restricted shortcut assigns to each part P_i a subset H_i of the BFS
 // tree's edges. Because construction claims always travel rootward, the
-// natural local representation is: node v stores the set of parts whose
-// shortcut contains v's parent edge (Up), and symmetrically the ports to
-// children whose edges it carries (DownPorts), learned when claims passed
-// by. The blocks of P_i are the connected components of the forest
-// (V(H_i), H_i); each is a subtree of T whose root is its member closest to
-// the tree root.
+// natural local representation is a part table per node: for each part
+// whose shortcut touches v, whether H_i contains v's parent edge (the up
+// bit), the ports to children whose edges it carries (the down-ports,
+// learned when claims passed by), and the block metadata setup delivers.
+// The tables are one CSR array of runs sorted by part ID: construction
+// protocols log claims per node, and Seal merges them in (SetupBlocks seals
+// first), so every lookup is a binary search and no node holds a map. The
+// blocks of P_i are the connected components of the forest (V(H_i), H_i);
+// each is a subtree of T whose root is its member closest to the tree root.
 package shortcut

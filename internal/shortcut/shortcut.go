@@ -1,7 +1,9 @@
 package shortcut
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -18,89 +20,177 @@ type BlockMeta struct {
 	RootID    int64
 }
 
-// Shortcut is a T-restricted shortcut held as node-local knowledge. Parts
-// are identified by their leader IDs.
+// Shortcut is a T-restricted shortcut held as node-local knowledge: one
+// part table per node. Parts are identified by their leader IDs.
+//
+// Node v's table is a run of entries sorted by part ID, one for each part i
+// whose shortcut H_i touches v. The runs are stored back to back (CSR), so a
+// lookup is one binary search and the table holds no per-node maps.
+// Construction protocols log their claims per node (ClaimUp, AddDownPort)
+// from inside a phase; Seal merges the logs into the table, and every query
+// reads the sealed table only.
 type Shortcut struct {
 	T *tree.BFSTree
-	// Up[v] holds the parts whose shortcut contains v's parent tree edge.
-	Up []map[int64]struct{}
-	// DownPorts[v][i] lists v's ports to children c with (c,v) in H_i.
-	DownPorts []map[int64][]int
-	// Meta[v][i] is block-root info for part i's block through v, filled by
-	// SetupBlocks for every v in V(H_i).
-	Meta []map[int64]BlockMeta
+
+	row   []int32   // node v's entries are [row[v], row[v+1])
+	parts []int64   // part IDs, ascending within each node's run
+	ents  []Entry   // aligned with parts
+	down  []int     // down-port runs, ascending; see Entry.lo/hi
+	log   [][]claim // per node: claims not yet sealed
+	epoch uint64
+}
+
+// Entry is what node v's table holds about one part i.
+type Entry struct {
+	Up      bool // v's parent tree edge is in H_i
+	HasMeta bool // SetupBlocks filled Meta
+	Meta    BlockMeta
+	lo, hi  int32 // v's ports to children c with (c,v) in H_i: down[lo:hi]
+}
+
+// claim is one logged ClaimUp (port -1) or AddDownPort.
+type claim struct {
+	part int64
+	port int
 }
 
 // New returns an empty shortcut over t.
 func New(t *tree.BFSTree, n int) *Shortcut {
-	s := &Shortcut{
-		T:         t,
-		Up:        make([]map[int64]struct{}, n),
-		DownPorts: make([]map[int64][]int, n),
-		Meta:      make([]map[int64]BlockMeta, n),
-	}
-	for v := 0; v < n; v++ {
-		s.Up[v] = make(map[int64]struct{})
-		s.DownPorts[v] = make(map[int64][]int)
-		s.Meta[v] = make(map[int64]BlockMeta)
-	}
-	return s
+	return &Shortcut{T: t, row: make([]int32, n+1), log: make([][]claim, n)}
 }
 
-// ClaimUp records that v's parent edge belongs to part i's shortcut
+// ClaimUp logs that v's parent edge belongs to part i's shortcut
 // (construction-side, called by the claiming protocols at v).
-func (s *Shortcut) ClaimUp(v int, i int64) { s.Up[v][i] = struct{}{} }
+func (s *Shortcut) ClaimUp(v int, i int64) { s.log[v] = append(s.log[v], claim{i, -1}) }
+
+// AddDownPort logs at v that the child edge behind port q carries part i
+// (construction-side, called when a claim arrives at v).
+func (s *Shortcut) AddDownPort(v int, i int64, q int) { s.log[v] = append(s.log[v], claim{i, q}) }
+
+// Seal merges the logged claims into the table (a repeated claim counts
+// once) and clears the logs. It is a no-op when nothing is logged.
+func (s *Shortcut) Seal() {
+	pending := 0
+	for _, l := range s.log {
+		pending += len(l)
+	}
+	if pending == 0 {
+		return
+	}
+	row := make([]int32, len(s.row))
+	parts := make([]int64, 0, len(s.parts)+pending)
+	ents := make([]Entry, 0, cap(parts))
+	down := make([]int, 0, len(s.down)+pending)
+	for v, l := range s.log {
+		slices.SortFunc(l, func(a, b claim) int { return cmp.Compare(a.part, b.part) })
+		k, hi := int(s.row[v]), int(s.row[v+1])
+		for j := 0; k < hi || j < len(l); {
+			i := int64(math.MaxInt64)
+			if k < hi {
+				i = s.parts[k]
+			}
+			if j < len(l) {
+				i = min(i, l[j].part)
+			}
+			lo := len(down)
+			var e Entry
+			if k < hi && s.parts[k] == i {
+				e = s.ents[k]
+				down = append(down, s.down[e.lo:e.hi]...)
+				k++
+			}
+			for ; j < len(l) && l[j].part == i; j++ {
+				if l[j].port < 0 {
+					e.Up = true
+				} else {
+					down = append(down, l[j].port)
+				}
+			}
+			slices.Sort(down[lo:])
+			down = down[:lo+len(slices.Compact(down[lo:]))]
+			e.lo, e.hi = int32(lo), int32(len(down))
+			parts, ents = append(parts, i), append(ents, e)
+		}
+		s.log[v] = l[:0]
+		row[v+1] = int32(len(parts))
+	}
+	s.row, s.parts, s.ents, s.down = row, parts, ents, down
+	s.epoch++
+}
+
+// Epoch counts the changes to the sealed table (Seal merging claims,
+// SetupBlocks filling metadata, DropPart), so a view derived from the table
+// can tell whether it is current.
+func (s *Shortcut) Epoch() uint64 { return s.epoch }
+
+// Len returns the number of entries in the sealed table.
+func (s *Shortcut) Len() int { return len(s.parts) }
+
+// Node returns v's sealed table: its part IDs, ascending, and the aligned
+// entries. The slices alias the table.
+func (s *Shortcut) Node(v int) ([]int64, []Entry) {
+	lo, hi := s.row[v], s.row[v+1]
+	return s.parts[lo:hi], s.ents[lo:hi]
+}
+
+// entry returns v's entry for part i, or nil if H_i does not touch v.
+func (s *Shortcut) entry(v int, i int64) *Entry {
+	parts, ents := s.Node(v)
+	if k, ok := slices.BinarySearch(parts, i); ok {
+		return &ents[k]
+	}
+	return nil
+}
 
 // HasUp reports whether v's parent edge is in part i's shortcut.
 func (s *Shortcut) HasUp(v int, i int64) bool {
-	_, ok := s.Up[v][i]
-	return ok
+	e := s.entry(v, i)
+	return e != nil && e.Up
 }
 
-// AddDownPort records at v that the child edge behind port q carries part i
-// (construction-side, called when a claim arrives at v).
-func (s *Shortcut) AddDownPort(v int, i int64, q int) {
-	for _, have := range s.DownPorts[v][i] {
-		if have == q {
-			return
-		}
+// DownPorts returns v's ports to children c with (c,v) in H_i, ascending.
+func (s *Shortcut) DownPorts(v int, i int64) []int {
+	if e := s.entry(v, i); e != nil {
+		return s.down[e.lo:e.hi]
 	}
-	s.DownPorts[v][i] = append(s.DownPorts[v][i], q)
+	return nil
 }
 
-// OnBlock reports whether v touches part i's shortcut (v in V(H_i)).
-func (s *Shortcut) OnBlock(v int, i int64) bool {
-	if s.HasUp(v, i) {
-		return true
-	}
-	return len(s.DownPorts[v][i]) > 0
-}
+// OnBlock reports whether v touches part i's shortcut (v in V(H_i)): every
+// entry comes from an up-claim or a down-port.
+func (s *Shortcut) OnBlock(v int, i int64) bool { return s.entry(v, i) != nil }
 
 // IsBlockRoot reports whether v is the root of part i's block through v:
 // on the block, but the parent edge is not in H_i.
 func (s *Shortcut) IsBlockRoot(v int, i int64) bool {
-	return s.OnBlock(v, i) && !s.HasUp(v, i)
+	e := s.entry(v, i)
+	return e != nil && !e.Up
 }
 
-// DropPart removes part i's claims everywhere (used between construction
-// repetitions when an unverified part's claims are discarded; each node
-// forgets its local entries).
-func (s *Shortcut) DropPart(i int64) {
-	for v := range s.Up {
-		delete(s.Up[v], i)
-		delete(s.DownPorts[v], i)
-		delete(s.Meta[v], i)
+// DropPart removes the given parts' claims everywhere (used between
+// construction repetitions when unverified parts' claims are discarded;
+// each node forgets its local entries). ids must be ascending.
+func (s *Shortcut) DropPart(ids ...int64) {
+	if len(ids) == 0 {
+		return
 	}
-}
-
-// UpParts returns the parts on v's parent edge in deterministic order.
-func (s *Shortcut) UpParts(v int) []int64 {
-	out := make([]int64, 0, len(s.Up[v]))
-	for i := range s.Up[v] {
-		out = append(out, i)
+	s.Seal()
+	w, dw, k := 0, 0, 0
+	for v := 1; v < len(s.row); v++ {
+		for hi := int(s.row[v]); k < hi; k++ {
+			if _, drop := slices.BinarySearch(ids, s.parts[k]); drop {
+				continue
+			}
+			e := s.ents[k]
+			e.lo, e.hi = int32(dw), int32(dw+copy(s.down[dw:], s.down[e.lo:e.hi]))
+			dw = int(e.hi)
+			s.parts[w], s.ents[w] = s.parts[k], e
+			w++
+		}
+		s.row[v] = int32(w)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	s.parts, s.ents, s.down = s.parts[:w], s.ents[:w], s.down[:dw]
+	s.epoch++
 }
 
 // SetupBlocks distributes (root depth, root ID) through every block: each
@@ -110,9 +200,11 @@ func (s *Shortcut) UpParts(v int) []int64 {
 // (FIFO), so the pass takes O(D + congestion) rounds and Σ_i |H_i| = Õ(n)
 // messages.
 func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
+	s.Seal()
 	n := net.N()
 	sp := &setupProc{s: s, queues: make([][]setupQueue, n), busy: make([]int, n)}
 	_, err := net.RunNodes("shortcut/setup", sp, maxRounds)
+	s.epoch++
 	return err
 }
 
@@ -140,19 +232,12 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 {
 		// Block roots (on the block, no up-claim) start the downward pass;
 		// block leaves (up-claim only) wait to hear from above. Parts are
-		// visited in sorted order for deterministic scheduling.
-		parts := make([]int64, 0, len(s.DownPorts[v]))
-		for i := range s.DownPorts[v] {
-			parts = append(parts, i)
-		}
-		sort.Slice(parts, func(a, b int) bool { return parts[a] < parts[b] })
-		for _, i := range parts {
-			if s.IsBlockRoot(v, i) {
-				meta := BlockMeta{RootDepth: int64(s.T.Depth[v]), RootID: ctx.ID()}
-				s.Meta[v][i] = meta
-				for _, q := range s.DownPorts[v][i] {
-					p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: i, B: meta.RootDepth, C: meta.RootID})
-				}
+		// visited in table order, ascending, for deterministic scheduling.
+		parts, ents := s.Node(v)
+		for k, i := range parts {
+			if e := &ents[k]; !e.Up {
+				e.Meta, e.HasMeta = BlockMeta{RootDepth: int64(s.T.Depth[v]), RootID: ctx.ID()}, true
+				p.forward(v, i, e)
 			}
 		}
 	}
@@ -160,16 +245,21 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 		if m.Msg.Kind != kindBlockSetup {
 			return
 		}
-		i := m.Msg.A
-		if _, seen := s.Meta[v][i]; seen {
+		e := s.entry(v, m.Msg.A)
+		if e == nil || e.HasMeta {
 			return
 		}
-		s.Meta[v][i] = BlockMeta{RootDepth: m.Msg.B, RootID: m.Msg.C}
-		for _, q := range s.DownPorts[v][i] {
-			p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: i, B: m.Msg.B, C: m.Msg.C})
-		}
+		e.Meta, e.HasMeta = BlockMeta{RootDepth: m.Msg.B, RootID: m.Msg.C}, true
+		p.forward(v, m.Msg.A, e)
 	})
 	return p.flush(ctx, v)
+}
+
+// forward queues part i's block metadata on each of v's down-ports for i.
+func (p *setupProc) forward(v int, i int64, e *Entry) {
+	for _, q := range p.s.down[e.lo:e.hi] {
+		p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: i, B: e.Meta.RootDepth, C: e.Meta.RootID})
+	}
 }
 
 func (p *setupProc) enqueue(v, port int, m congest.Message) {
@@ -210,61 +300,54 @@ func (p *setupProc) flush(ctx *congest.Ctx, v int) bool {
 	return p.busy[v] > 0
 }
 
+// forUp calls fn for every up-claim (v, i) of the sealed table, by node and
+// then by part.
+func (s *Shortcut) forUp(fn func(v int, i int64)) {
+	for v := 0; v+1 < len(s.row); v++ {
+		for k := s.row[v]; k < s.row[v+1]; k++ {
+			if s.ents[k].Up {
+				fn(v, s.parts[k])
+			}
+		}
+	}
+}
+
 // Congestion returns (engine-side) the maximum number of parts on any tree
 // edge — the shortcut's congestion c per Definition 2.1(1).
 func (s *Shortcut) Congestion() int {
-	c := 0
-	for v := range s.Up {
-		if len(s.Up[v]) > c {
-			c = len(s.Up[v])
+	c, run, last := 0, 0, -1
+	s.forUp(func(v int, _ int64) {
+		if v != last {
+			last, run = v, 0
 		}
-	}
+		run++
+		c = max(c, run)
+	})
 	return c
 }
 
 // TotalEdges returns Σ_i |H_i| (engine-side).
 func (s *Shortcut) TotalEdges() int {
 	t := 0
-	for v := range s.Up {
-		t += len(s.Up[v])
-	}
+	s.forUp(func(int, int64) { t++ })
 	return t
 }
 
 // BlockCounts returns (engine-side) the number of blocks of each part that
 // has a nonempty shortcut, keyed by part ID: the connected components of
-// the forest (V(H_i), H_i), Definition 2.3.
+// the forest (V(H_i), H_i), Definition 2.3. Each component is a subtree of
+// T, so it is counted once, at its root: the parent end of a claimed edge
+// whose own parent edge is not in H_i.
 func (s *Shortcut) BlockCounts() map[int64]int {
-	// Group claimed edges by part.
-	type edge struct{ child, parent int }
-	edgesByPart := make(map[int64][]edge)
-	for v := range s.Up {
-		for i := range s.Up[v] {
-			edgesByPart[i] = append(edgesByPart[i], edge{child: v, parent: s.T.ParentNode[v]})
+	out := make(map[int64]int)
+	roots := make(map[[2]int64]bool)
+	s.forUp(func(v int, i int64) {
+		u := s.T.ParentNode[v]
+		if r := [2]int64{i, int64(u)}; !s.HasUp(u, i) && !roots[r] {
+			roots[r] = true
+			out[i]++
 		}
-	}
-	out := make(map[int64]int, len(edgesByPart))
-	for i, edges := range edgesByPart {
-		// Union-find over the touched nodes only.
-		idx := make(map[int]int)
-		touch := func(v int) int {
-			if id, ok := idx[v]; ok {
-				return id
-			}
-			id := len(idx)
-			idx[v] = id
-			return id
-		}
-		for _, e := range edges {
-			touch(e.child)
-			touch(e.parent)
-		}
-		dsu := newMiniDSU(len(idx))
-		for _, e := range edges {
-			dsu.union(idx[e.child], idx[e.parent])
-		}
-		out[i] = dsu.count()
-	}
+	})
 	return out
 }
 
@@ -282,72 +365,24 @@ func (s *Shortcut) BlockParameter() int {
 }
 
 // VerifyAgainstTree checks structural invariants engine-side: every claim
-// is mirrored (child's Up entry matches a parent DownPorts entry), and Meta
-// agrees with the true block roots. Test/diagnostic helper.
+// is mirrored (child's up-claim matches a parent down-port). Block metadata
+// lives in table entries, so only nodes on a block can hold it. Test/
+// diagnostic helper.
 func (s *Shortcut) VerifyAgainstTree(net *congest.Network, in *part.Info) error {
 	g := net.Graph()
-	for v := range s.Up {
-		for i := range s.Up[v] {
-			pp := s.T.ParentPort[v]
-			if pp < 0 {
-				return fmt.Errorf("shortcut: root has an up-claim for part %d", i)
-			}
-			u := g.Neighbor(v, pp)
+	var err error
+	s.forUp(func(v int, i int64) {
+		pp := s.T.ParentPort[v]
+		switch {
+		case err != nil:
+		case pp < 0:
+			err = fmt.Errorf("shortcut: root has an up-claim for part %d", i)
+		case !slices.Contains(s.DownPorts(g.Neighbor(v, pp), i), g.ReversePort(v, pp)):
 			// The edge v-u is unique, so the mirrored down-port must be
 			// exactly the CSR-materialized reverse port of pp.
-			rq := g.ReversePort(v, pp)
-			found := false
-			for _, q := range s.DownPorts[u][i] {
-				if q == rq {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("shortcut: claim %d->%d for part %d not mirrored", v, u, i)
-			}
+			err = fmt.Errorf("shortcut: claim %d->%d for part %d not mirrored", v, g.Neighbor(v, pp), i)
 		}
-		for i := range s.Meta[v] {
-			if !s.OnBlock(v, i) {
-				return fmt.Errorf("shortcut: node %d has meta for part %d but is off-block", v, i)
-			}
-		}
-	}
+	})
 	_ = in
-	return nil
-}
-
-// miniDSU is a tiny union-find for component counting.
-type miniDSU struct{ parent []int }
-
-func newMiniDSU(n int) *miniDSU {
-	d := &miniDSU{parent: make([]int, n)}
-	for i := range d.parent {
-		d.parent[i] = i
-	}
-	return d
-}
-
-func (d *miniDSU) find(v int) int {
-	for d.parent[v] != v {
-		d.parent[v] = d.parent[d.parent[v]]
-		v = d.parent[v]
-	}
-	return v
-}
-
-func (d *miniDSU) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	if ra != rb {
-		d.parent[rb] = ra
-	}
-}
-
-func (d *miniDSU) count() int {
-	c := 0
-	for v := range d.parent {
-		if d.find(v) == v {
-			c++
-		}
-	}
-	return c
+	return err
 }

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shortcutpa/internal/congest"
@@ -10,6 +11,14 @@ import (
 )
 
 const testBudget = 100000
+
+// meta returns the block metadata v's table holds for part i, if any.
+func (s *Shortcut) meta(v int, i int64) (BlockMeta, bool) {
+	if e := s.entry(v, i); e != nil {
+		return e.Meta, e.HasMeta
+	}
+	return BlockMeta{}, false
+}
 
 func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *tree.BFSTree) {
 	t.Helper()
@@ -26,7 +35,8 @@ func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *tre
 }
 
 // claimPath claims v's rootward tree path for part i, for hops edges,
-// mirroring Up/DownPorts exactly as the construction protocols do.
+// mirroring up-claims and down-ports exactly as the construction protocols
+// do, and seals each claim.
 func claimPath(net *congest.Network, bt *tree.BFSTree, s *Shortcut, v int, i int64, hops int) {
 	g := net.Graph()
 	for h := 0; h < hops && bt.ParentPort[v] >= 0; h++ {
@@ -37,6 +47,7 @@ func claimPath(net *congest.Network, bt *tree.BFSTree, s *Shortcut, v int, i int
 		s.ClaimUp(v, i)
 		u := g.Neighbor(v, bt.ParentPort[v])
 		s.AddDownPort(u, i, g.PortTo(u, v))
+		s.Seal()
 		v = u
 	}
 }
@@ -69,7 +80,7 @@ func TestSetupBlocksSingleChain(t *testing.T) {
 		if !s.OnBlock(v, 7) {
 			t.Fatalf("node %d should be on part 7's block", v)
 		}
-		meta, ok := s.Meta[v][7]
+		meta, ok := s.meta(v, 7)
 		if !ok {
 			t.Fatalf("node %d missing block meta", v)
 		}
@@ -231,11 +242,14 @@ func verifyBlockMeta(t *testing.T, net *congest.Network, bt *tree.BFSTree, s *Sh
 			a.minDepth = bt.Depth[v]
 			a.rootID = net.ID(v)
 		}
-		m, ok := s.Meta[v][pid]
+		m, ok := s.meta(v, pid)
 		if !ok {
 			t.Fatalf("part %d: node %d on block but missing meta", pid, v)
 		}
 		a.metas[m] = struct{}{}
+	}
+	if got := s.BlockCounts()[pid]; got != len(byComp) {
+		t.Fatalf("part %d: BlockCounts = %d, offline components = %d", pid, got, len(byComp))
 	}
 	for c, a := range byComp {
 		if len(a.metas) != 1 {
@@ -272,4 +286,60 @@ func TestDropPart(t *testing.T) {
 	if _, ok := s.BlockCounts()[2]; !ok {
 		t.Fatal("surviving part lost its blocks")
 	}
+}
+
+// TestSealMergesClaims: claims logged in any order and with repeats, over
+// two seals, land in one run per node sorted by part, with ascending,
+// deduplicated down-ports; metadata survives a later Seal; DropPart removes
+// exactly the named parts and keeps the others' down-ports.
+func TestSealMergesClaims(t *testing.T) {
+	s := New(nil, 3)
+	s.AddDownPort(1, 30, 4)
+	s.ClaimUp(1, 10)
+	s.AddDownPort(1, 30, 2)
+	s.AddDownPort(1, 30, 4)
+	s.ClaimUp(1, 10)
+	if s.HasUp(1, 10) {
+		t.Fatal("a claim is visible before Seal")
+	}
+	s.Seal()
+	meta := BlockMeta{RootDepth: 3, RootID: 99}
+	e := s.entry(1, 30)
+	e.Meta, e.HasMeta = meta, true
+	s.AddDownPort(1, 20, 0)
+	s.AddDownPort(1, 30, 1)
+	s.ClaimUp(2, 30)
+	s.Seal()
+	check := func(stage string, want []int64) {
+		t.Helper()
+		if parts, _ := s.Node(1); !slices.Equal(parts, want) {
+			t.Fatalf("%s: node 1 holds parts %v, want %v", stage, parts, want)
+		}
+		if got := s.DownPorts(1, 30); !slices.Equal(got, []int{1, 2, 4}) {
+			t.Fatalf("%s: node 1 down-ports for part 30 = %v, want [1 2 4]", stage, got)
+		}
+		if m, ok := s.meta(1, 30); !ok || m != meta {
+			t.Fatalf("%s: node 1 meta for part 30 = %+v, %v", stage, m, ok)
+		}
+		if parts, ents := s.Node(2); !slices.Equal(parts, []int64{30}) || !ents[0].Up || len(s.DownPorts(2, 30)) != 0 {
+			t.Fatalf("%s: node 2 table %v %+v, want part 30 up-only", stage, parts, ents)
+		}
+		if parts, _ := s.Node(0); len(parts) != 0 {
+			t.Fatalf("%s: node 0 holds parts %v", stage, parts)
+		}
+	}
+	check("sealed", []int64{10, 20, 30})
+	if !s.HasUp(1, 10) || s.HasUp(1, 30) || !s.IsBlockRoot(1, 20) || s.IsBlockRoot(1, 10) {
+		t.Fatal("node 1's up bits are wrong")
+	}
+	epoch := s.Epoch()
+	s.DropPart()
+	if s.Epoch() != epoch {
+		t.Fatal("an empty DropPart changed the table's epoch")
+	}
+	s.DropPart(10, 20)
+	if s.Epoch() == epoch {
+		t.Fatal("DropPart left the table's epoch unchanged")
+	}
+	check("dropped", []int64{30})
 }
